@@ -7,15 +7,13 @@ network trained from scratch.
 
 __version__ = "0.1.0"
 
-from .apk import ApkArchive, open_apk, open_apk_bytes
+from .apk import ApkArchive, open_apk
 from .axml import is_axml, parse_axml
 from .dataset import (
     KINDS,
     LABELS,
-    IngestResult,
     ManifestRecord,
     extract_corpus,
-    ingest,
     load_dataset_manifest,
     save_dataset_manifest,
 )

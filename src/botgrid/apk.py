@@ -12,13 +12,18 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .errors import NotAZip, TruncatedArchive, UnsupportedCompression
+from .errors import EntryTooLarge, NotAZip, TruncatedArchive, UnsupportedCompression
 
 EOCD_SIG = 0x06054B50
 CENTRAL_SIG = 0x02014B50
 LOCAL_SIG = 0x04034B50
 
 MANIFEST_ENTRY = "AndroidManifest.xml"
+
+# Largest entry the reader decodes.  Real AndroidManifest.xml files are
+# tens of KiB; the cap bounds what a hostile archive can make the reader
+# allocate, since DEFLATE expands up to about 1000:1.
+MAX_ENTRY_BYTES = 4 * 1024 * 1024
 
 # EOCD is 22 bytes plus an up-to-64KiB trailing comment.
 _MAX_EOCD_SCAN = 22 + 0xFFFF
@@ -46,14 +51,6 @@ class ApkArchive:
         self.source = source
         self._entries = self._read_central_directory()
 
-    @property
-    def entries(self) -> dict[str, int]:
-        """Entry path -> uncompressed byte length."""
-        return {name: e.uncompressed_size for name, e in self._entries.items()}
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
@@ -64,9 +61,6 @@ class ApkArchive:
         except KeyError:
             raise KeyError(f"no entry {name!r} in {self.source}") from None
         return self._read_entry(entry)
-
-    def read_manifest(self) -> bytes:
-        return self.read(MANIFEST_ENTRY)
 
     def _read_central_directory(self) -> dict[str, ZipEntry]:
         data = self._data
@@ -117,6 +111,11 @@ class ApkArchive:
         raise NotAZip("no end-of-central-directory record found")
 
     def _read_entry(self, entry: ZipEntry) -> bytes:
+        if entry.uncompressed_size > MAX_ENTRY_BYTES:
+            raise EntryTooLarge(
+                f"{self.source}: {entry.name!r} declares {entry.uncompressed_size} bytes, "
+                f"more than the {MAX_ENTRY_BYTES}-byte limit"
+            )
         data = self._data
         pos = entry.local_header_offset
         if pos + _LOCAL.size > len(data):
@@ -137,7 +136,9 @@ class ApkArchive:
             return payload
         if entry.method == 8:
             try:
-                out = zlib.decompressobj(-15).decompress(payload)
+                # One byte past the declared size is enough to detect a
+                # stream that inflates to more than its header says.
+                out = zlib.decompressobj(-15).decompress(payload, entry.uncompressed_size + 1)
             except zlib.error as exc:
                 raise TruncatedArchive(
                     f"{self.source}: DEFLATE stream of {entry.name!r} is corrupt: {exc}"
@@ -158,7 +159,3 @@ def open_apk(path) -> ApkArchive:
     with open(path, "rb") as fh:
         data = fh.read()
     return ApkArchive(data, source=str(path))
-
-
-def open_apk_bytes(data: bytes, source: str = "<memory>") -> ApkArchive:
-    return ApkArchive(data, source=source)

@@ -126,16 +126,20 @@ _FLAG_TO_FIELD = {
 }
 
 
+def _load_fields(path, cls, what: str) -> dict:
+    """A JSON object whose keys must all be fields of the dataclass cls."""
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    unknown = set(loaded) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return loaded
+
+
 def _load_config(args: argparse.Namespace) -> TrainConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        field_names = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = set(loaded) - field_names
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
+    values = _load_fields(args.config, TrainConfig, "config") if args.config else {}
     for flag, field in _FLAG_TO_FIELD.items():
         flag_value = getattr(args, flag, None)
         if flag_value is not None:
@@ -225,15 +229,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    values: dict = {}
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        field_names = {f.name for f in dataclasses.fields(SynthSpec)}
-        unknown = set(loaded) - field_names
-        if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        values.update(loaded)
+    values = _load_fields(args.spec, SynthSpec, "spec") if args.spec else {}
     if args.seed is not None:
         values["seed"] = args.seed
     spec = SynthSpec(**values)

@@ -86,6 +86,8 @@ class ExtractedCorpus:
 
 def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:
     """Run permission extraction over every record, isolating failures."""
+    if not records:
+        raise EmptyDataset("dataset manifest lists no samples")
     corpus = ExtractedCorpus([], [], [], [])
     for record in records:
         try:
@@ -96,7 +98,7 @@ def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:
         corpus.perm_sets.append(perms)
         corpus.labels.append(record.label)
         corpus.paths.append(record.path)
-    if records and not corpus.perm_sets:
+    if not corpus.perm_sets:
         raise AllSamplesFailed(
             f"all {len(records)} samples failed extraction; "
             f"first: {corpus.failures[0][1]}"
@@ -115,26 +117,3 @@ def encode_corpus(
     )
     oov = [len(out_of_vocabulary(ps, vocab)) for ps in perm_sets]
     return tensors, oov
-
-
-@dataclass
-class IngestResult:
-    tensors: np.ndarray  # (N, n, n, 1)
-    labels: np.ndarray  # (N,) int, index into LABELS
-    paths: list[str]
-    failures: list[tuple[str, str]]
-    oov_counts: list[int]
-
-
-def ingest(
-    records: list[ManifestRecord],
-    vocab: PermissionVocabulary,
-    dtype=np.float32,
-) -> IngestResult:
-    """extract -> encode -> normalize for every record in the manifest."""
-    if not records:
-        raise EmptyDataset("dataset manifest lists no samples")
-    corpus = extract_corpus(records)
-    tensors, oov = encode_corpus(corpus.perm_sets, vocab, dtype=dtype)
-    labels = np.array([label_index(lbl) for lbl in corpus.labels], dtype=np.int64)
-    return IngestResult(tensors, labels, corpus.paths, corpus.failures, oov)

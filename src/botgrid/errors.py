@@ -27,6 +27,10 @@ class TruncatedArchive(ParseError):
     pass
 
 
+class EntryTooLarge(ParseError):
+    """An archive entry declares more bytes than the reader will inflate."""
+
+
 # --- Binary XML / plaintext manifest ---
 
 class BadMagic(ParseError):

@@ -21,9 +21,6 @@ class FoldPlan:
     assignments: tuple[int, ...]  # fold index per record
     seed: int
 
-    def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f == fold]
-
     def split(self, fold: int) -> tuple[list[int], list[int]]:
         """(train indices, test indices) for one held-out fold."""
         train = [i for i, f in enumerate(self.assignments) if f != fold]

@@ -8,10 +8,8 @@ from .model import (
     LayerSpec,
     build_model,
     build_reference_model,
-    check_finite,
     load_model,
     save_model,
-    train_step,
 )
 from .optim import Adam
 
@@ -29,8 +27,6 @@ __all__ = [
     "bce_loss",
     "build_model",
     "build_reference_model",
-    "check_finite",
     "load_model",
     "save_model",
-    "train_step",
 ]

@@ -6,7 +6,9 @@ layers and (N, F) for dense layers.  Convolution is cross-correlation
 ceil(input / stride), and when the total padding is odd the extra row
 or column goes on the bottom/right.  All layers preserve the dtype of
 their inputs; forward caches for the backward pass are only recorded
-when train=True, so inference on a shared model is read-only.
+when train=True.  Inference still writes Conv2D's scratch buffers, which
+its training cache views: never run inference between a training forward
+and its backward, and never share one model across threads.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Layer-stack model: construction, training step, binary persistence.
+"""Layer-stack model: construction and binary persistence.
 
 The reference architecture is an 11-stage stack for n x n x 1 inputs
 (n = 41 by default): four Conv+MaxPool pairs (32, 128, 128, 256 kernels)
@@ -18,24 +18,15 @@ import numpy as np
 from ..errors import (
     BadMagic,
     ChecksumMismatch,
-    NonFiniteLoss,
     ShapeMismatch,
     TruncatedChunk,
     VersionMismatch,
 )
 from .layers import Conv2D, Dense, MaxPool2D, Softmax
-from .loss import bce_loss
-from .optim import Adam
 
 MODEL_MAGIC = b"BOTGRIDM"
 MODEL_VERSION = 1
 
-
-def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
-    """Opt-in guard: raise NonFiniteLoss when values left the finite range."""
-    if not np.isfinite(x).all():
-        raise NonFiniteLoss(f"{what} contains NaN or Inf")
-    return x
 
 _KIND_CODES = {"conv": 0, "maxpool": 1, "dense": 2, "softmax": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -150,9 +141,6 @@ class CnnModel:
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads()]
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params())
-
 
 def build_model(
     specs, input_shape: tuple[int, int, int], seed: int = 0, dtype=np.float32
@@ -162,21 +150,6 @@ def build_model(
 
 def build_reference_model(seed: int = 0, n: int = 41, dtype=np.float32) -> CnnModel:
     return CnnModel(REFERENCE_LAYERS, (n, n, 1), seed, dtype)
-
-
-def train_step(
-    model: CnnModel, batch: np.ndarray, labels: np.ndarray, adam: Adam
-) -> float:
-    """Forward, loss, full backward, one optimizer step; returns the loss."""
-    probs = model.forward(batch, train=True)
-    loss = bce_loss(probs[:, 1], np.asarray(labels))
-    if not np.isfinite(loss.value):
-        raise NonFiniteLoss(f"loss diverged to {loss.value}")
-    grad_probs = np.zeros_like(probs)
-    grad_probs[:, 1] = loss.gradient
-    model.backward(grad_probs)
-    adam.step(model.params(), model.grads())
-    return loss.value
 
 
 def save_model(model: CnnModel, path) -> None:

@@ -101,6 +101,24 @@ def _stratified_carve(labels: np.ndarray, fraction: float, seed: int) -> np.ndar
     return mask
 
 
+def train_step(
+    model: CnnModel, batch: np.ndarray, labels: np.ndarray, adam: Adam
+) -> tuple[float, np.ndarray]:
+    """Forward, loss, full backward, one optimizer step.
+
+    Returns the batch loss and the pre-update output probabilities.
+    """
+    probs = model.forward(batch, train=True)
+    loss = bce_loss(probs[:, 1], labels)
+    if not np.isfinite(loss.value):
+        raise NonFiniteLoss(f"loss diverged to {loss.value}")
+    grad_probs = np.zeros_like(probs)
+    grad_probs[:, 1] = loss.gradient
+    model.backward(grad_probs)
+    adam.step(model.params(), model.grads())
+    return loss.value, probs
+
+
 def train(
     tensors: np.ndarray, labels: np.ndarray, config: TrainConfig
 ) -> tuple[CnnModel, list[EpochStats]]:
@@ -138,16 +156,9 @@ def train(
         correct = 0
         for start in range(0, count, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb, yb = tensors[idx], labels[idx]
-            probs = model.forward(xb, train=True)
-            loss = bce_loss(probs[:, 1], yb)
-            if not np.isfinite(loss.value):
-                raise NonFiniteLoss(f"loss diverged at epoch {epoch}")
-            grad_probs = np.zeros_like(probs)
-            grad_probs[:, 1] = loss.gradient
-            model.backward(grad_probs)
-            adam.step(model.params(), model.grads())
-            loss_sum += loss.value * len(idx)
+            yb = labels[idx]
+            loss, probs = train_step(model, tensors[idx], yb, adam)
+            loss_sum += loss * len(idx)
             correct += int(np.sum(np.argmax(probs, axis=1) == yb))
         val_acc = None
         if val_tensors is not None and len(val_tensors):

@@ -30,15 +30,6 @@ class FrequencyList:
     entries: tuple[FrequencyEntry, ...]
     corpus_size: int
 
-    def top(self, n: int) -> tuple[FrequencyEntry, ...]:
-        return self.entries[:n]
-
-    def fraction_of(self, permission: str) -> float:
-        for entry in self.entries:
-            if entry.permission == permission:
-                return entry.fraction
-        return 0.0
-
 
 @dataclass(frozen=True)
 class PermissionVocabulary:
@@ -59,9 +50,6 @@ class PermissionVocabulary:
 
     def __contains__(self, permission: str) -> bool:
         return permission in self.index
-
-    def position(self, permission: str) -> int:
-        return self.index[permission]
 
 
 def count_frequencies(sets: Iterable[PermissionSet], class_label: str) -> FrequencyList:

@@ -39,7 +39,3 @@ class XmlElement:
 @dataclass
 class ManifestDocument:
     root: XmlElement
-
-    @property
-    def root_name(self) -> str:
-        return self.root.name

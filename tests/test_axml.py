@@ -31,7 +31,7 @@ def to_document(tree) -> ManifestDocument:
 def test_internet_permission_manifest():
     tree = permissions_manifest(["android.permission.INTERNET"])
     doc = parse_axml(build_axml(tree))
-    assert doc.root_name == "manifest"
+    assert doc.root.name == "manifest"
     assert len(doc.root.children) == 1
     child = doc.root.children[0]
     assert child.name == "uses-permission"

@@ -195,6 +195,34 @@ def test_exit_codes(tmp_path, corpus_dir):
     ]) == 1
 
 
+def test_header_only_manifest_is_an_empty_dataset(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("path,label,kind\n")
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("android.permission.INTERNET\n")
+    manifest = ["--manifest", str(csv_path)]
+    model = ["--model-out", str(tmp_path / "m.bin")]
+    for argv in (
+        ["train", *manifest, "--vocab", str(vocab), *model],
+        ["train", *manifest, *model],
+        ["cv", *manifest],
+        ["vocab", *manifest, "--out", str(tmp_path / "out.txt")],
+    ):
+        assert main(argv) == 1, argv
+        assert "dataset manifest lists no samples" in capsys.readouterr().err, argv
+
+
+def test_json_settings_files_are_checked(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_botnet": 4, "bogus": 1}))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c")]) == 1
+    assert "unknown spec keys: ['bogus']" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[]")
+    assert main(["cv", "--manifest", str(tmp_path / "data.csv"), "--config", str(cfg)]) == 1
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
 def test_jobs_flag_matches_serial(tmp_path, corpus_dir):
     base = [
         "cv", "--manifest", str(corpus_dir / "data.csv"),

@@ -5,11 +5,10 @@ from botgrid.dataset import (
     ManifestRecord,
     encode_corpus,
     extract_corpus,
-    ingest,
     load_dataset_manifest,
     save_dataset_manifest,
 )
-from botgrid.errors import AllSamplesFailed, InvalidSpec, ManifestCsvError
+from botgrid.errors import AllSamplesFailed, EmptyDataset, InvalidSpec, ManifestCsvError
 from botgrid.manifest import read_permissions
 from botgrid.synth import SynthSpec, generate_synthetic_corpus, signature_permissions
 from botgrid.vocabulary import PermissionVocabulary
@@ -62,12 +61,13 @@ def test_ingest_zero_counts_follow_square_law(tmp_path):
         f = tmp_path / f"s{i}.txt"
         write_permlist(f, perms)
         records.append(ManifestRecord(str(f), "benign" if i % 2 else "botnet", "permlist"))
-    result = ingest(records, vocab)
-    assert result.tensors.shape == (3, 6, 6, 1)
-    for tensor, perms in zip(result.tensors, contents):
+    corpus = extract_corpus(records)
+    tensors, _ = encode_corpus(corpus.perm_sets, vocab)
+    assert tensors.shape == (3, 6, 6, 1)
+    for tensor, perms in zip(tensors, contents):
         k = len(perms)
         assert int(np.sum(tensor == 0.0)) == k * k
-    assert result.failures == []
+    assert corpus.failures == []
 
 
 def test_ingest_isolates_single_failure(tmp_path):
@@ -78,10 +78,11 @@ def test_ingest_isolates_single_failure(tmp_path):
         write_permlist(f, ["p0"])
         records.append(ManifestRecord(str(f), "benign", "permlist"))
     records.insert(4, ManifestRecord(str(tmp_path / "missing.txt"), "botnet", "permlist"))
-    result = ingest(records, vocab)
-    assert len(result.paths) == 9
-    assert len(result.failures) == 1
-    assert "missing.txt" in result.failures[0][0]
+    corpus = extract_corpus(records)
+    tensors, _ = encode_corpus(corpus.perm_sets, vocab)
+    assert len(tensors) == len(corpus.paths) == 9
+    assert len(corpus.failures) == 1
+    assert "missing.txt" in corpus.failures[0][0]
 
 
 def test_ingest_all_failed(tmp_path):
@@ -91,23 +92,20 @@ def test_ingest_all_failed(tmp_path):
 
 
 def test_ingest_empty_manifest_rejected():
-    from botgrid.errors import EmptyDataset
-    from botgrid.vocabulary import PermissionVocabulary
-
-    with pytest.raises(EmptyDataset):
-        ingest([], PermissionVocabulary(("p0",)))
+    with pytest.raises(EmptyDataset, match="dataset manifest lists no samples"):
+        extract_corpus([])
 
 
 def test_ingest_composes_extract_and_encode(tmp_path):
     spec = SynthSpec(n_botnet=100, n_benign=100, pool_size=24, seed=3)
     records = generate_synthetic_corpus(spec, tmp_path / "corpus")
     vocab = PermissionVocabulary(tuple(f"synthetic.permission.P{i:03d}" for i in range(20)))
-    result = ingest(records, vocab)
+    tensors, _ = encode_corpus(extract_corpus(records).perm_sets, vocab)
     # one-by-one composition oracle
     for i, record in enumerate(records):
         perms = read_permissions(record.path, record.kind)
         single, _ = encode_corpus([perms], vocab)
-        assert np.array_equal(result.tensors[i], single[0])
+        assert np.array_equal(tensors[i], single[0])
 
 
 # --- synthetic corpus generator ---

@@ -11,7 +11,7 @@ def test_ten_folds_of_twenty_balanced_samples():
     labels = ["benign"] * 10 + ["botnet"] * 10
     plan = make_folds(labels, k=10, seed=0)
     for fold in range(10):
-        members = plan.fold_indices(fold)
+        members = plan.split(fold)[1]
         assert len(members) == 2
         assert sorted(labels[i] for i in members) == ["benign", "botnet"]
 

@@ -299,15 +299,3 @@ def test_relu_idempotent_and_non_negative():
     once = layer.forward(x)
     assert np.all(once >= 0)
     assert np.array_equal(layer.forward(once), once)  # relu(relu(x)) == relu(x)
-
-
-def test_check_finite_guard():
-    import pytest as _pytest
-
-    from botgrid.errors import NonFiniteLoss
-    from botgrid.nn import check_finite
-
-    ok = np.ones(3)
-    assert check_finite(ok, "x") is ok
-    with _pytest.raises(NonFiniteLoss):
-        check_finite(np.array([1.0, np.nan]), "x")

@@ -29,7 +29,7 @@ PLAIN = """<manifest xmlns:android="http://schemas.android.com/apk/res/android"
 
 def test_empty_manifest():
     doc = parse_plain_manifest("<manifest/>")
-    assert doc.root_name == "manifest"
+    assert doc.root.name == "manifest"
     assert doc.root.children == []
 
 
@@ -183,9 +183,9 @@ def test_read_permissions_dispatch(tmp_path):
 
 def test_manifest_bytes_sniffs_binary_vs_text():
     axml_blob = build_axml(permissions_manifest(["p.x"]))
-    assert parse_manifest_bytes(axml_blob).root_name == "manifest"
-    assert parse_manifest_bytes(PLAIN.encode()).root_name == "manifest"
-    assert parse_manifest_bytes("<manifest/>".encode("utf-8-sig")).root_name == "manifest"
+    assert parse_manifest_bytes(axml_blob).root.name == "manifest"
+    assert parse_manifest_bytes(PLAIN.encode()).root.name == "manifest"
+    assert parse_manifest_bytes("<manifest/>".encode("utf-8-sig")).root.name == "manifest"
 
 
 def test_android_namespace_required_for_name():

@@ -4,13 +4,11 @@ import pytest
 from botgrid.errors import (
     BadMagic,
     ChecksumMismatch,
-    NonFiniteLoss,
     ShapeMismatch,
     TruncatedChunk,
     VersionMismatch,
 )
 from botgrid.nn import (
-    Adam,
     CnnModel,
     LayerSpec,
     REFERENCE_LAYERS,
@@ -18,7 +16,6 @@ from botgrid.nn import (
     build_reference_model,
     load_model,
     save_model,
-    train_step,
 )
 
 TABLE_SHAPES = [
@@ -69,7 +66,7 @@ def test_parameter_count_matches_layer_formulas():
             flat = int(np.prod(shape))
             expected += flat * spec.out_units + spec.out_units
             shape = (spec.out_units,)
-    assert model.param_count() == expected == 550_514
+    assert sum(p.size for p in model.params()) == expected == 550_514
 
 
 def test_probabilities_sum_to_one():
@@ -94,29 +91,6 @@ def test_invalid_stack_rejected_at_build():
     )
     with pytest.raises(ShapeMismatch):
         build_model(specs, (3, 3, 1), seed=0)  # second pool sees a 1x1 input
-
-
-def test_single_sample_overfit():
-    model = build_reference_model(seed=11)
-    adam = Adam()
-    rng = np.random.default_rng(5)
-    x = rng.random((1, 41, 41, 1), dtype=np.float32)
-    y = np.array([1])
-    losses = [train_step(model, x, y, adam) for _ in range(200)]
-    assert losses[-1] < 1e-2
-    assert losses[-1] < losses[0]
-
-
-def test_train_step_raises_on_non_finite():
-    model = build_reference_model(seed=0)
-    model.layers[0].weights[:] = np.nan
-    with pytest.raises(NonFiniteLoss):
-        train_step(
-            model,
-            np.ones((1, 41, 41, 1), np.float32),
-            np.array([0]),
-            Adam(),
-        )
 
 
 REDUCED = (

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
-from botgrid.errors import EmptyDataset
+from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
+from botgrid.nn import Adam, build_reference_model
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import (
     TrainConfig,
@@ -17,6 +18,7 @@ from botgrid.training import (
     render_trace_csv,
     summarize_folds,
     train,
+    train_step,
 )
 from botgrid.vocabulary import PermissionVocabulary
 
@@ -44,7 +46,7 @@ def test_zero_epochs_returns_untrained_model(small_corpus):
     cfg = TrainConfig(epochs=0, seed=1, vocab_size=16)
     model, trace = train(tensors, labels, cfg)
     assert trace == []
-    assert model.param_count() > 0
+    assert sum(p.size for p in model.params()) > 0
 
 
 def test_training_is_deterministic(small_corpus):
@@ -87,6 +89,32 @@ def test_train_requires_both_classes(small_corpus):
         train(tensors[mask], labels[mask], TrainConfig(epochs=1, seed=0))
     with pytest.raises(EmptyDataset):
         train(tensors[:0], labels[:0], TrainConfig(epochs=1, seed=0))
+
+
+def test_single_sample_overfit():
+    model = build_reference_model(seed=11)
+    adam = Adam()
+    rng = np.random.default_rng(5)
+    x = rng.random((1, 41, 41, 1), dtype=np.float32)
+    y = np.array([1])
+    before = model.forward(x)
+    loss, probs = train_step(model, x, y, adam)
+    assert np.array_equal(probs, before)  # pre-update probabilities
+    losses = [loss] + [train_step(model, x, y, adam)[0] for _ in range(199)]
+    assert losses[-1] < 1e-2
+    assert losses[-1] < losses[0]
+
+
+def test_train_step_raises_on_non_finite():
+    model = build_reference_model(seed=0)
+    model.layers[0].weights[:] = np.nan
+    with pytest.raises(NonFiniteLoss):
+        train_step(
+            model,
+            np.ones((1, 41, 41, 1), np.float32),
+            np.array([0]),
+            Adam(),
+        )
 
 
 def test_val_split_adds_column(small_corpus):

@@ -137,7 +137,7 @@ def test_merge_matches_brute_force(bot_sets, ben_sets, n):
 
 def test_vocabulary_index_is_inverse():
     vocab = PermissionVocabulary(("x", "y", "z"))
-    assert [vocab.position(p) for p in vocab.permissions] == [0, 1, 2]
+    assert [vocab.index[p] for p in vocab.permissions] == [0, 1, 2]
     assert "y" in vocab and "w" not in vocab
 
 
