@@ -12,7 +12,13 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .errors import EntryTooLarge, NotAZip, TruncatedArchive, UnsupportedCompression
+from .errors import (
+    ChecksumMismatch,
+    EntryTooLarge,
+    NotAZip,
+    TruncatedArchive,
+    UnsupportedCompression,
+)
 
 EOCD_SIG = 0x06054B50
 CENTRAL_SIG = 0x02014B50
@@ -133,8 +139,8 @@ class ApkArchive:
         payload = data[payload_start:payload_end]
 
         if entry.method == 0:
-            return payload
-        if entry.method == 8:
+            out = payload
+        elif entry.method == 8:
             try:
                 # One byte past the declared size is enough to detect a
                 # stream that inflates to more than its header says.
@@ -148,10 +154,13 @@ class ApkArchive:
                     f"{self.source}: {entry.name!r} inflated to {len(out)} bytes, "
                     f"expected {entry.uncompressed_size}"
                 )
-            return out
-        raise UnsupportedCompression(
-            f"{self.source}: entry {entry.name!r} uses compression method {entry.method}"
-        )
+        else:
+            raise UnsupportedCompression(
+                f"{self.source}: entry {entry.name!r} uses compression method {entry.method}"
+            )
+        if zlib.crc32(out) != entry.crc32:
+            raise ChecksumMismatch(f"{self.source}: CRC-32 of {entry.name!r} does not match")
+        return out
 
 
 def open_apk(path) -> ApkArchive:

@@ -127,14 +127,25 @@ _FLAG_TO_FIELD = {
 
 
 def _load_fields(path, cls, what: str) -> dict:
-    """A JSON object whose keys must all be fields of the dataclass cls."""
+    """A JSON object whose keys must all be fields of the dataclass cls,
+    each holding a value of its default's type.  An int passes for a float
+    and becomes one, so reports print the same as for a float."""
     with open(path, "r", encoding="utf-8") as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    unknown = set(loaded) - {f.name for f in dataclasses.fields(cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(loaded) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in loaded.items():
+        expected = type(defaults[key])
+        if expected is float and type(value) is int:
+            loaded[key] = value = float(value)
+        if type(value) is not expected:
+            raise ValueError(
+                f"{what} key {key!r} must be {expected.__name__}, got {json.dumps(value)}"
+            )
     return loaded
 
 

@@ -5,10 +5,10 @@ layers and (N, F) for dense layers.  Convolution is cross-correlation
 (no kernel flip) with "same" zero-padding: the output spatial size is
 ceil(input / stride), and when the total padding is odd the extra row
 or column goes on the bottom/right.  All layers preserve the dtype of
-their inputs; forward caches for the backward pass are only recorded
-when train=True.  Inference still writes Conv2D's scratch buffers, which
-its training cache views: never run inference between a training forward
-and its backward, and never share one model across threads.
+their inputs.  A layer's only per-call state is the cache for the
+backward pass, recorded when train=True and owning the arrays it holds.
+Inference writes no layer state, so it may run between a training
+forward and its backward, and one model may serve concurrent calls.
 """
 
 from __future__ import annotations
@@ -59,16 +59,6 @@ class Conv2D:
         self.grad_weights: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
         self._cache = None
-        self._scratch: dict[str, np.ndarray] = {}
-
-    def _buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        # Reused across steps; batch-shaped buffers dominate the step cost
-        # when reallocated (and re-faulted) every call.
-        buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            self._scratch[name] = buf
-        return buf
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3 or input_shape[2] != self.in_channels:
@@ -92,15 +82,14 @@ class Conv2D:
         out_w, pad_left, pad_right = _same_padding(w, kw, sw)
 
         xp = np.pad(x, ((0, 0), (pad_top, pad_bottom), (pad_left, pad_right), (0, 0)))
-        cols = self._buffer("cols", (n, out_h, out_w, kh, kw, cin), x.dtype)
+        cols = np.empty((n, out_h, out_w, kh, kw, cin), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, :, i, j, :] = xp[
                     :, i : i + (out_h - 1) * sh + 1 : sh, j : j + (out_w - 1) * sw + 1 : sw, :
                 ]
         cols2 = cols.reshape(n * out_h * out_w, kh * kw * cin)
-        y2 = self._buffer("y", (n * out_h * out_w, self.out_channels), x.dtype)
-        np.matmul(cols2, self.weights.reshape(kh * kw * cin, self.out_channels), out=y2)
+        y2 = cols2 @ self.weights.reshape(kh * kw * cin, self.out_channels)
         y2 += self.bias
         mask = None
         if self.relu:
@@ -108,8 +97,7 @@ class Conv2D:
             np.maximum(y2, 0, out=y2)
         if train:
             self._cache = (x.shape, (pad_top, pad_left), cols2, mask, (out_h, out_w))
-        # y2 is scratch; hand the caller an independent array.
-        return y2.reshape(n, out_h, out_w, self.out_channels).copy()
+        return y2.reshape(n, out_h, out_w, self.out_channels)
 
     def backward(self, grad: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         if self._cache is None:
@@ -130,8 +118,7 @@ class Conv2D:
         if not need_input_grad:
             return None
 
-        gcols2 = self._buffer("gcols", (n * out_h * out_w, kh * kw * cin), grad.dtype)
-        np.matmul(g2, self.weights.reshape(kh * kw * cin, self.out_channels).T, out=gcols2)
+        gcols2 = g2 @ self.weights.reshape(kh * kw * cin, self.out_channels).T
         gcols = gcols2.reshape(n, out_h, out_w, kh, kw, cin)
         padded_h = max((out_h - 1) * sh + kh, h)
         padded_w = max((out_w - 1) * sw + kw, w)

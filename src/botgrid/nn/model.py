@@ -9,6 +9,7 @@ map into 1024 inputs.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from ..errors import (
     TruncatedChunk,
     VersionMismatch,
 )
-from .layers import Conv2D, Dense, MaxPool2D, Softmax
+from .layers import Conv2D, Dense, MaxPool2D, Softmax, _same_padding
 
 MODEL_MAGIC = b"BOTGRIDM"
 MODEL_VERSION = 1
@@ -203,8 +204,12 @@ def load_model(path) -> CnnModel:
 
     rd = _PayloadReader(payload, path)
     dtype_code, seed = rd.unpack("<BQ")
+    if dtype_code not in (0, 1):
+        raise ChecksumMismatch(f"{path}: unknown dtype code {dtype_code}")
     dtype = np.float32 if dtype_code == 0 else np.float64
     (rank,) = rd.unpack("<B")
+    if rank != 3:
+        raise ChecksumMismatch(f"{path}: input rank {rank}, expected 3")
     input_shape = rd.unpack(f"<{rank}I")
     (n_layers,) = rd.unpack("<I")
     specs = []
@@ -223,6 +228,14 @@ def load_model(path) -> CnnModel:
                 out_units=out if kind == "dense" else None,
             )
         )
+    # Bound the allocation by the file before building any layer: every
+    # parameter is stored as 8 bytes in what is left of the payload.
+    implied = _implied_param_count(specs, input_shape)
+    if 8 * implied > len(payload) - rd.pos:
+        raise ChecksumMismatch(
+            f"{path}: layer specs imply {implied} parameters, "
+            f"more than the payload holds"
+        )
     model = CnnModel(tuple(specs), input_shape, seed, dtype)
     params = model.params()
     (n_params,) = rd.unpack("<I")
@@ -237,6 +250,34 @@ def load_model(path) -> CnnModel:
         loaded = np.frombuffer(values, dtype="<f8").reshape(shape)
         np.copyto(p, loaded.astype(model.dtype))
     return model
+
+
+def _implied_param_count(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> int:
+    """Parameters CnnModel would allocate for specs, counted without
+    allocating.  The walk stops at the first spec CnnModel rejects, since
+    construction fails there before that layer allocates."""
+    count = 0
+    shape = tuple(input_shape)
+    for spec in specs:
+        if spec.kind == "conv":
+            (kh, kw), (sh, sw) = spec.kernel, spec.stride
+            if len(shape) != 3 or min(kh, kw, sh, sw) < 1:
+                break
+            count += (kh * kw * shape[2] + 1) * spec.out_channels
+            shape = (
+                _same_padding(shape[0], kh, sh)[0],
+                _same_padding(shape[1], kw, sw)[0],
+                spec.out_channels,
+            )
+        elif spec.kind == "maxpool":
+            kh, kw = spec.kernel
+            if len(shape) != 3 or min(kh, kw) < 1:
+                break
+            shape = (shape[0] // kh, shape[1] // kw, shape[2])
+        elif spec.kind == "dense":
+            count += (math.prod(shape) + 1) * spec.out_units
+            shape = (spec.out_units,)
+    return count
 
 
 class _PayloadReader:

@@ -6,7 +6,9 @@ import zipfile
 import pytest
 
 from botgrid.apk import MAX_ENTRY_BYTES, ApkArchive, open_apk
+from botgrid.dataset import ManifestRecord, extract_corpus
 from botgrid.errors import (
+    ChecksumMismatch,
     EntryTooLarge,
     NotAZip,
     ParseError,
@@ -107,6 +109,40 @@ def test_duplicate_entry_last_wins():
 def test_zip_with_trailing_comment():
     blob = build_zip([("AndroidManifest.xml", b"m", 0)], comment=b"built by tests")
     assert ApkArchive(blob).read("AndroidManifest.xml") == b"m"
+
+
+def corrupt(method: int) -> bytes:
+    """A one-entry archive whose <manifest/> payload disagrees with its CRC-32."""
+    blob = bytearray(build_zip([("AndroidManifest.xml", b"<manifest/>", method)]))
+    if method == 0:
+        # The payload follows the 30-byte local header and the name.
+        blob[30 + len("AndroidManifest.xml") + 1] ^= 0x20  # <Manifest/>
+    else:
+        # Flipping a DEFLATE byte would break the stream; flip the CRC instead.
+        cd_offset = struct.unpack_from("<I", blob, blob.rfind(b"PK\x05\x06") + 16)[0]
+        for crc_offset in (14, cd_offset + 16):  # local header, central directory
+            blob[crc_offset] ^= 0x01
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("method", [0, 8], ids=["stored", "deflate"])
+def test_corrupted_entry_fails_its_crc(tmp_path, method):
+    good = build_zip([("AndroidManifest.xml", b"<manifest/>", 0)])
+    blob = corrupt(method)
+    with pytest.raises(ChecksumMismatch) as exc:
+        ApkArchive(blob).read("AndroidManifest.xml")
+    assert isinstance(exc.value, ParseError)
+
+    (tmp_path / "good.apk").write_bytes(good)
+    (tmp_path / "bad.apk").write_bytes(blob)
+    records = [
+        ManifestRecord(str(tmp_path / name), "benign", "apk") for name in ("good.apk", "bad.apk")
+    ]
+    corpus = extract_corpus(records)
+    assert corpus.paths == [str(tmp_path / "good.apk")]
+    assert len(corpus.failures) == 1
+    assert corpus.failures[0][0].endswith("bad.apk")
+    assert corpus.failures[0][1].startswith("ChecksumMismatch")
 
 
 BOMB_BYTES = 100 * 1024 * 1024

@@ -151,7 +151,8 @@ def test_train_then_predict_matches_library(tmp_path, corpus_dir):
 
 def test_config_file_with_flag_overrides(tmp_path, corpus_dir):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epochs": 1, "vocab_size": 16, "seed": 4}))
+    # val_fraction is a float setting given as a JSON int
+    cfg.write_text(json.dumps({"epochs": 1, "vocab_size": 16, "seed": 4, "val_fraction": 0}))
     report = tmp_path / "report.txt"
     assert main([
         "cv", "--manifest", str(corpus_dir / "data.csv"), "--config", str(cfg),
@@ -160,6 +161,7 @@ def test_config_file_with_flag_overrides(tmp_path, corpus_dir):
     text = report.read_text()
     assert "seed: 4" in text
     assert "epochs=1" in text
+    assert "val_fraction=0.0" in text
 
 
 def test_synth_subcommand(tmp_path):
@@ -221,6 +223,29 @@ def test_json_settings_files_are_checked(tmp_path, capsys):
     cfg.write_text("[]")
     assert main(["cv", "--manifest", str(tmp_path / "data.csv"), "--config", str(cfg)]) == 1
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, settings, key",
+    [
+        ("synth", "--spec", {"n_botnet": "x"}, "n_botnet"),
+        ("cv", "--config", {"epochs": "3"}, "epochs"),
+        ("cv", "--config", {"seed": True}, "seed"),
+    ],
+    ids=["spec-str-for-int", "config-str-for-int", "config-bool-for-int"],
+)
+def test_json_settings_of_the_wrong_type_are_usage_errors(
+    tmp_path, capsys, command, flag, settings, key
+):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(settings))
+    # The settings are read before the output or manifest path is touched.
+    target = "--out" if command == "synth" else "--manifest"
+    assert main([command, flag, str(path), target, str(tmp_path / "missing")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("botgrid: error: ")
+    assert repr(key) in err
+    assert "Traceback" not in err
 
 
 def test_jobs_flag_matches_serial(tmp_path, corpus_dir):

@@ -1,3 +1,8 @@
+import struct
+import tracemalloc
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -173,3 +178,67 @@ def test_inference_does_not_mutate_state():
     assert np.array_equal(p1, p2)
     for layer in model.layers:
         assert layer._cache is None  # backward caches only appear with train=True
+
+
+def _train_pass_grads(model, a, interleave=None):
+    probs = model.forward(a, train=True)
+    if interleave is not None:
+        model.forward(interleave)
+    grad = np.zeros_like(probs)
+    grad[:, 1] = 1
+    model.backward(grad)
+    return model.grads()
+
+
+def test_interleaved_inference_leaves_gradients_unchanged():
+    rng = np.random.default_rng(0)
+    a, b = (
+        rng.integers(0, 2, size=(8, 41, 41, 1)).astype(np.float32) for _ in range(2)
+    )
+    expected = _train_pass_grads(build_reference_model(seed=3), a)
+    got = _train_pass_grads(build_reference_model(seed=3), a, interleave=b)
+    for g_expected, g_got in zip(expected, got):
+        assert np.array_equal(g_expected, g_got)
+
+
+def test_threaded_inference_matches_serial():
+    model = build_reference_model(seed=3)
+    rng = np.random.default_rng(1)
+    batches = [
+        rng.integers(0, 2, size=(8, 41, 41, 1)).astype(np.float32) for _ in range(16)
+    ]
+    serial = [model.forward(x) for x in batches]
+    with ThreadPoolExecutor(4) as pool:
+        for _ in range(5):
+            for want, got in zip(serial, pool.map(model.forward, batches)):
+                assert np.array_equal(want, got)
+
+
+# Offsets into a saved reference model.  The payload follows the magic,
+# version and length (20 bytes): dtype code and seed (9), input rank (1),
+# three dims (12), layer count (4), then 14 bytes per layer spec with its
+# unit count at +10.
+PAYLOAD = 8 + 12
+DENSE1_UNITS = PAYLOAD + 9 + 1 + 12 + 4 + 8 * 14 + 10
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value",
+    [(DENSE1_UNITS, "<I", 8192), (PAYLOAD, "<B", 2), (PAYLOAD + 9, "<B", 2)],
+    ids=["dense-units", "dtype-code", "rank"],
+)
+def test_forged_model_fails_before_allocating(tmp_path, offset, fmt, value):
+    path = tmp_path / "model.bin"
+    save_model(build_reference_model(seed=0), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[PAYLOAD:-4]))
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChecksumMismatch):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(blob)
