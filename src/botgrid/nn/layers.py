@@ -4,8 +4,11 @@ Data layout is channels-last: activations are (N, H, W, C) for spatial
 layers and (N, F) for dense layers.  Convolution is cross-correlation
 (no kernel flip) with "same" zero-padding: the output spatial size is
 ceil(input / stride), and when the total padding is odd the extra row
-or column goes on the bottom/right.  All layers preserve the dtype of
-their inputs.  A layer's only per-call state is the cache for the
+or column goes on the bottom/right.  Its im2col matrix is gathered in
+one copy of a strided (N, out_h, out_w, kh, kw, C) window view of the
+padded input.  Max pooling routes each window's gradient to the first
+row-major position holding its maximum.  All layers preserve the dtype
+of their inputs.  A layer's only per-call state is the cache for the
 backward pass, recorded when train=True and owning the arrays it holds.
 Inference writes no layer state, so it may run between a training
 forward and its backward, and one model may serve concurrent calls.
@@ -82,20 +85,17 @@ class Conv2D:
         out_w, pad_left, pad_right = _same_padding(w, kw, sw)
 
         xp = np.pad(x, ((0, 0), (pad_top, pad_bottom), (pad_left, pad_right), (0, 0)))
-        cols = np.empty((n, out_h, out_w, kh, kw, cin), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, :, i, j, :] = xp[
-                    :, i : i + (out_h - 1) * sh + 1 : sh, j : j + (out_w - 1) * sw + 1 : sw, :
-                ]
-        cols2 = cols.reshape(n * out_h * out_w, kh * kw * cin)
+        s0, s1, s2, s3 = xp.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xp, (n, out_h, out_w, kh, kw, cin), (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False
+        )
+        cols2 = np.ascontiguousarray(windows).reshape(n * out_h * out_w, kh * kw * cin)
         y2 = cols2 @ self.weights.reshape(kh * kw * cin, self.out_channels)
         y2 += self.bias
-        mask = None
         if self.relu:
-            mask = y2 > 0
             np.maximum(y2, 0, out=y2)
         if train:
+            mask = y2 > 0 if self.relu else None
             self._cache = (x.shape, (pad_top, pad_left), cols2, mask, (out_h, out_w))
         return y2.reshape(n, out_h, out_w, self.out_channels)
 
@@ -163,42 +163,46 @@ class MaxPool2D:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeMismatch(f"maxpool expects (N, H, W, C), got {x.shape}")
-        n, h, w, c = x.shape
+        _, h, w, _ = x.shape
         kh, kw = self.kernel
         if h < kh or w < kw:
             raise ShapeMismatch(f"input {x.shape} smaller than pooling window {self.kernel}")
         out_h, out_w = h // kh, w // kw
-        xc = x[:, : out_h * kh, : out_w * kw, :]
-        windows = (
-            xc.reshape(n, out_h, kh, out_w, kw, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(n, out_h, out_w, kh * kw, c)
-        )
-        y = windows.max(axis=3)
+        slots = self._slots(x, out_h, out_w)
+        y = slots[0].copy()
+        winner = np.zeros(y.shape, np.min_scalar_type(kh * kw - 1)) if train else None
+        for k, slot in enumerate(slots[1:], 1):
+            if train:
+                # the last slot to beat the running maximum strictly wins,
+                # so a tie keeps the first maximum in row-major order
+                np.maximum(winner, np.multiply(slot > y, k, dtype=winner.dtype), out=winner)
+            np.maximum(y, slot, out=y)
         if train:
-            # argmax returns the first maximum in row-major window order,
-            # which is where the backward pass routes the gradient.
-            self._cache = (x.shape, windows.argmax(axis=3))
+            self._cache = (x.shape, winner)
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before forward(train=True)")
-        x_shape, argmax = self._cache
+        x_shape, winner = self._cache
         n, h, w, c = x_shape
         kh, kw = self.kernel
         out_h, out_w = h // kh, w // kw
         if grad.shape != (n, out_h, out_w, c):
             raise ShapeMismatch(f"grad shape {grad.shape} != {(n, out_h, out_w, c)}")
-        gw = np.zeros((n, out_h, out_w, kh * kw, c), dtype=grad.dtype)
-        np.put_along_axis(gw, argmax[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
         gx = np.zeros(x_shape, dtype=grad.dtype)
-        gx[:, : out_h * kh, : out_w * kw, :] = (
-            gw.reshape(n, out_h, out_w, kh, kw, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(n, out_h * kh, out_w * kw, c)
-        )
+        # A bit mask copies grad exactly where the slot won and +0.0 elsewhere
+        # (a multiply by 0 gives -0.0 and nan), far faster than copyto(where=).
+        bits = f"u{grad.itemsize}"
+        for k, gx_slot in enumerate(self._slots(gx, out_h, out_w)):
+            keep = np.negative(winner == k, dtype=bits)
+            np.bitwise_and(grad.view(bits), keep, out=gx_slot.view(bits))
         return gx
+
+    def _slots(self, x: np.ndarray, out_h: int, out_w: int) -> list[np.ndarray]:
+        """One strided view per window slot (i, j), in row-major slot order."""
+        kh, kw = self.kernel
+        return [x[:, i : out_h * kh : kh, j : out_w * kw : kw, :] for i in range(kh) for j in range(kw)]
 
     def params(self) -> list[np.ndarray]:
         return []

@@ -236,7 +236,10 @@ def load_model(path) -> CnnModel:
             f"{path}: layer specs imply {implied} parameters, "
             f"more than the payload holds"
         )
-    model = CnnModel(tuple(specs), input_shape, seed, dtype)
+    try:
+        model = CnnModel(tuple(specs), input_shape, seed, dtype)
+    except ShapeMismatch as exc:
+        raise ChecksumMismatch(f"{path}: layer geometry rejected: {exc}") from exc
     params = model.params()
     (n_params,) = rd.unpack("<I")
     if n_params != len(params):

@@ -55,6 +55,11 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            # lr * mhat / (sqrt(vhat) + eps), in that order, in two buffers
+            step = m / bc1
+            step *= self.learning_rate
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step

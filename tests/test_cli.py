@@ -11,6 +11,7 @@ from botgrid.training import predict as predict_lib
 from botgrid.vocabulary import load_vocabulary
 
 from axml_writer import build_axml, permissions_manifest
+from test_model import POOL1_KERNEL_AND_STRIDE, forge_reference_model
 from zip_writer import build_zip
 
 PLAIN = (
@@ -195,6 +196,18 @@ def test_exit_codes(tmp_path, corpus_dir):
     assert main([
         "cv", "--manifest", str(corpus_dir / "data.csv"), "--config", str(cfg),
     ]) == 1
+
+
+def test_predict_with_rejected_model_geometry_exits_parse(tmp_path, corpus_dir):
+    # A valid CRC over a 64x64 pooling window on the 41x41 feature map.
+    model_path = tmp_path / "model.bin"
+    forge_reference_model(model_path, POOL1_KERNEL_AND_STRIDE, "<4H", 64, 64, 64, 64)
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("android.permission.INTERNET\n")
+    assert main([
+        "predict", "--model", str(model_path), "--vocab", str(vocab),
+        "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),
+    ]) == 3
 
 
 def test_header_only_manifest_is_an_empty_dataset(tmp_path, capsys):

@@ -103,6 +103,41 @@ def test_conv_matches_naive_loops_strided():
     assert np.allclose(layer.forward(x), expected, atol=1e-12)
 
 
+def im2col_reference(x, kernel, stride):
+    """The gather as one strided copy per kernel offset (i, j) into a
+    (n, out_h, out_w, kh, kw, cin) buffer, flattened to GEMM rows."""
+    n, h, w, cin = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    oh, ow = -(-h // sh), -(-w // sw)
+    ph = max((oh - 1) * sh + kh - h, 0)
+    pw = max((ow - 1) * sw + kw - w, 0)
+    xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+    cols = np.empty((n, oh, ow, kh, kw, cin), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = xp[
+                :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw, :
+            ]
+    return cols.reshape(n * oh * ow, kh * kw * cin), (n, oh, ow)
+
+
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("kernel", [(5, 5), (3, 3), (1, 1), (2, 3)])
+def test_conv_gather_is_exact(kernel, stride, cin):
+    # Equal bytes, not a tolerance: a gather that reorders columns or
+    # rows changes the GEMM's sums and fails here.
+    rng = np.random.default_rng(11)
+    layer = Conv2D(cin, 4, kernel, stride, relu=True, rng=rng, dtype=np.float32)
+    layer.bias = rng.standard_normal(4, dtype=np.float32)
+    x = rng.standard_normal((2, 7, 9, cin), dtype=np.float32)
+    cols, (n, oh, ow) = im2col_reference(x, kernel, stride)
+    want = np.maximum(cols @ layer.weights.reshape(-1, 4) + layer.bias, 0).reshape(n, oh, ow, 4)
+    assert np.array_equal(layer.forward(x), want)
+    assert np.array_equal(layer.forward(x, train=True), want)
+
+
 def test_conv_zero_upstream_gradient():
     rng = np.random.default_rng(1)
     layer = Conv2D(2, 3, (3, 3), rng=rng, dtype=np.float64)
@@ -194,6 +229,36 @@ def test_maxpool_tie_routes_to_first_row_major():
     expected = np.zeros((1, 2, 2, 1))
     expected[0, 0, 0, 0] = 1
     assert np.array_equal(gx, expected)
+
+
+def maxpool_reference(x, kernel, grad):
+    """Per-window loops: the maximum, and grad routed to the first
+    row-major position holding it."""
+    n, h, w, c = x.shape
+    kh, kw = kernel
+    y = np.zeros((n, h // kh, w // kw, c), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for b, p, q, ch in np.ndindex(*y.shape):
+        window = x[b, p * kh : (p + 1) * kh, q * kw : (q + 1) * kw, ch].ravel()
+        k = int(np.flatnonzero(window == window.max())[0])
+        y[b, p, q, ch] = window[k]
+        gx[b, p * kh + k // kw, q * kw + k % kw, ch] = grad[b, p, q, ch]
+    return y, gx
+
+
+def test_maxpool_non_square_ties_route_to_first_row_major():
+    rng = np.random.default_rng(12)
+    # ReLU of small integers: about 5 in 7 entries are exact zeros, and
+    # most windows hold their maximum more than once.
+    x = np.maximum(rng.integers(-4, 3, size=(2, 9, 11, 3)), 0).astype(np.float32)
+    grad = rng.standard_normal((2, 4, 3, 3), dtype=np.float32)
+    # routed bit for bit, with +0.0 (not -0.0 or nan) where a slot lost
+    grad[0, 0, :, 0] = [-0.0, np.inf, np.nan]
+    want_y, want_gx = maxpool_reference(x, (2, 3), grad)
+    layer = MaxPool2D((2, 3))
+    assert np.array_equal(layer.forward(x), want_y)
+    assert np.array_equal(layer.forward(x, train=True), want_y)
+    assert layer.backward(grad).tobytes() == want_gx.tobytes()
 
 
 def test_maxpool_zero_gradient():

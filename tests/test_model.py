@@ -219,7 +219,19 @@ def test_threaded_inference_matches_serial():
 # three dims (12), layer count (4), then 14 bytes per layer spec with its
 # unit count at +10.
 PAYLOAD = 8 + 12
-DENSE1_UNITS = PAYLOAD + 9 + 1 + 12 + 4 + 8 * 14 + 10
+SPECS = PAYLOAD + 9 + 1 + 12 + 4
+DENSE1_UNITS = SPECS + 8 * 14 + 10
+POOL1_KERNEL_AND_STRIDE = SPECS + 14 + 2
+
+
+def forge_reference_model(path, offset, fmt, *values) -> bytes:
+    """Save a reference model, overwrite values at offset, fix the CRC."""
+    save_model(build_reference_model(seed=0), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, *values)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[PAYLOAD:-4]))
+    path.write_bytes(bytes(blob))
+    return bytes(blob)
 
 
 @pytest.mark.parametrize(
@@ -229,11 +241,7 @@ DENSE1_UNITS = PAYLOAD + 9 + 1 + 12 + 4 + 8 * 14 + 10
 )
 def test_forged_model_fails_before_allocating(tmp_path, offset, fmt, value):
     path = tmp_path / "model.bin"
-    save_model(build_reference_model(seed=0), path)
-    blob = bytearray(path.read_bytes())
-    struct.pack_into(fmt, blob, offset, value)
-    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[PAYLOAD:-4]))
-    path.write_bytes(bytes(blob))
+    blob = forge_reference_model(path, offset, fmt, value)
     tracemalloc.start()
     try:
         with pytest.raises(ChecksumMismatch):
@@ -242,3 +250,11 @@ def test_forged_model_fails_before_allocating(tmp_path, offset, fmt, value):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(blob)
+
+
+def test_model_with_rejected_geometry_is_a_parse_error(tmp_path):
+    # A valid CRC over a 64x64 pooling window on the 41x41 feature map.
+    path = tmp_path / "model.bin"
+    forge_reference_model(path, POOL1_KERNEL_AND_STRIDE, "<4H", 64, 64, 64, 64)
+    with pytest.raises(ChecksumMismatch, match="smaller than pooling window"):
+        load_model(path)
