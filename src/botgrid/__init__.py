@@ -44,12 +44,5 @@ from .training import (
     render_trace_csv,
     train,
 )
-from .vocabulary import (
-    FrequencyList,
-    PermissionVocabulary,
-    count_frequencies,
-    load_vocabulary,
-    merge_vocabulary,
-    save_vocabulary,
-)
+from .vocabulary import PermissionVocabulary, load_vocabulary, save_vocabulary
 from .xmldoc import ANDROID_NS, ManifestDocument, XmlAttribute, XmlElement

@@ -105,25 +105,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with training settings")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
     p.add_argument("--n", dest="vocab_size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--val-split", type=float, default=None,
-                   help="validation fraction carved from the training set")
+    p.add_argument("--val-split", dest="val_fraction", metavar="VAL_SPLIT", type=float,
+                   default=None, help="validation fraction carved from the training set")
     p.add_argument("--dtype", choices=("float32", "float64"), default=None)
-
-
-_FLAG_TO_FIELD = {
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "lr": "learning_rate",
-    "vocab_size": "vocab_size",
-    "seed": "seed",
-    "val_split": "val_fraction",
-    "k": "k",
-    "vocab_from_all": "vocab_from_all",
-    "dtype": "dtype",
-}
 
 
 def _load_fields(path, cls, what: str) -> dict:
@@ -151,10 +138,10 @@ def _load_fields(path, cls, what: str) -> dict:
 
 def _load_config(args: argparse.Namespace) -> TrainConfig:
     values = _load_fields(args.config, TrainConfig, "config") if args.config else {}
-    for flag, field in _FLAG_TO_FIELD.items():
-        flag_value = getattr(args, flag, None)
+    for field in dataclasses.fields(TrainConfig):  # each flag's dest is its field
+        flag_value = getattr(args, field.name, None)
         if flag_value is not None:
-            values[field] = flag_value
+            values[field.name] = flag_value
     return TrainConfig(**values)
 
 

@@ -51,21 +51,6 @@ class EvalMetrics:
     f_measure: float | None
     counts: ConfusionCounts
 
-    def as_dict(self) -> dict:
-        return {
-            "fpr": self.fpr,
-            "recall": self.recall,
-            "precision": self.precision,
-            "accuracy": self.accuracy,
-            "f_measure": self.f_measure,
-            "counts": {
-                "tp": self.counts.tp,
-                "tn": self.counts.tn,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-            },
-        }
-
 
 def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None

@@ -19,13 +19,13 @@ class Adam:
     def __init__(
         self,
         learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
+        b1: float = 0.9,
+        b2: float = 0.999,
         eps: float = 1e-8,
     ):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
+        self.b1 = b1
+        self.b2 = b2
         self.eps = eps
         self.t = 0
         self.m: list[np.ndarray] | None = None
@@ -48,13 +48,13 @@ class Adam:
             raise ShapeMismatch("optimizer state does not match parameter list")
 
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.b1**self.t
+        bc2 = 1.0 - self.b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * (g * g)
             # lr * mhat / (sqrt(vhat) + eps), in that order, in two buffers
             step = m / bc1
             step *= self.learning_rate

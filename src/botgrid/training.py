@@ -13,8 +13,10 @@ vocab_from_all to rank permissions over the whole corpus instead.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,14 +29,14 @@ from .dataset import (
     label_index,
 )
 from .encoder import encode, normalize
-from .errors import EmptyDataset, NonFiniteLoss
+from .errors import EmptyCorpus, EmptyDataset, NonFiniteLoss
 from .folds import FoldPlan, make_folds
 from .manifest import PermissionSet, read_permissions
 from .metrics import ConfusionCounts, EvalMetrics, compute_metrics
 from .nn.loss import bce_loss
 from .nn.model import CnnModel, build_reference_model
 from .nn.optim import Adam
-from .vocabulary import PermissionVocabulary, count_frequencies, merge_vocabulary
+from .vocabulary import PermissionVocabulary
 
 EVAL_BATCH = 256
 
@@ -48,9 +50,6 @@ class TrainConfig:
     epochs: int = 25
     batch_size: int = 32
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     vocab_size: int = 41
     k: int = 10
@@ -61,8 +60,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if min(self.batch_size, self.vocab_size, self.k) < 1:
-            raise ValueError("batch_size, vocab_size, and k must be >= 1")
+        if min(self.batch_size, self.vocab_size) < 1:
+            raise ValueError("batch_size and vocab_size must be >= 1")
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -143,7 +144,7 @@ def train(
     model = build_reference_model(
         seed=derive_seed(config.seed, 0), n=n, dtype=config.np_dtype
     )
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = Adam(config.learning_rate)
     shuffle_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(derive_seed(config.seed, 1)))
     )
@@ -199,12 +200,29 @@ def predict(
 def build_fold_vocabulary(
     perm_sets: list[PermissionSet], labels: list[str], size: int
 ) -> PermissionVocabulary:
-    by_class: dict[str, list[PermissionSet]] = {label: [] for label in LABELS}
+    """The top `size` permissions by summed per-class request fractions.
+
+    A permission scores the fraction of botnet apps that request it plus
+    the fraction of benign apps that do, so an imbalanced corpus cannot
+    drown out the rarer class.  Ties break by name.
+    """
+    counts = {"botnet": Counter(), "benign": Counter()}
+    apps = dict.fromkeys(counts, 0)
     for perms, label in zip(perm_sets, labels):
-        by_class[label].append(perms)
-    botnet = count_frequencies(by_class["botnet"], "botnet")
-    benign = count_frequencies(by_class["benign"], "benign")
-    return merge_vocabulary(botnet, benign, size)
+        counts[label].update(perms.permissions)
+        apps[label] += 1
+    scores: dict[str, float] = {}
+    for label, counter in counts.items():
+        if not apps[label]:
+            raise EmptyCorpus(f"no {label} samples to count")
+        for name, count in counter.items():
+            scores[name] = scores.get(name, 0.0) + count / apps[label]
+    if size < 1:
+        raise ValueError(f"vocabulary size must be >= 1, got {size}")
+    if not scores:
+        raise EmptyCorpus("no application in either class requests any permission")
+    ranked = sorted(scores, key=lambda name: (-scores[name], name))
+    return PermissionVocabulary(tuple(ranked[:size]))
 
 
 @dataclass(frozen=True)
@@ -228,7 +246,6 @@ class MetricSummary:
 @dataclass(frozen=True)
 class CvResult:
     config: TrainConfig
-    plan: FoldPlan
     folds: tuple[FoldResult, ...]
     summary: dict[str, MetricSummary]
     failures: tuple[tuple[str, str], ...]
@@ -295,29 +312,24 @@ def cross_validate(
     records: list[ManifestRecord], config: TrainConfig, jobs: int = 1
 ) -> CvResult:
     """Train on k-1 folds and evaluate on the held-out one, k times."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     corpus = extract_corpus(records)
     plan = make_folds(corpus.labels, config.k, config.seed)
     shared_vocab = None
     if config.vocab_from_all:
         shared_vocab = build_fold_vocabulary(corpus.perm_sets, corpus.labels, config.vocab_size)
 
+    run = partial(_run_fold, corpus=corpus, plan=plan, config=config, shared_vocab=shared_vocab)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_fold, fold, corpus, plan, config, shared_vocab)
-                for fold in range(config.k)
-            ]
-            fold_results = [f.result() for f in futures]
+            fold_results = list(pool.map(run, range(config.k)))
     else:
-        fold_results = [
-            _run_fold(fold, corpus, plan, config, shared_vocab) for fold in range(config.k)
-        ]
-    fold_results.sort(key=lambda fr: fr.fold)
+        fold_results = list(map(run, range(config.k)))
 
     class_counts = {label: corpus.labels.count(label) for label in LABELS}
     return CvResult(
         config=config,
-        plan=plan,
         folds=tuple(fold_results),
         summary=summarize_folds(fold_results),
         failures=tuple(corpus.failures),
@@ -385,7 +397,7 @@ def _render_json(result: CvResult) -> str:
         "folds": [
             {
                 "fold": fr.fold,
-                "metrics": fr.metrics.as_dict(),
+                "metrics": asdict(fr.metrics),
                 "trace": [asdict(row) for row in fr.trace],
                 "vocabulary_size": len(fr.vocabulary),
             }

@@ -1,12 +1,14 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from botgrid.cli import main
+from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode
 from botgrid.manifest import read_permissions
 from botgrid.nn.model import load_model
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
+from botgrid.training import TrainConfig
 from botgrid.training import predict as predict_lib
 from botgrid.vocabulary import load_vocabulary
 
@@ -163,6 +165,45 @@ def test_config_file_with_flag_overrides(tmp_path, corpus_dir):
     assert "seed: 4" in text
     assert "epochs=1" in text
     assert "val_fraction=0.0" in text
+
+
+def test_every_training_flag_reaches_its_field():
+    flags = {
+        "--epochs": ("epochs", "3", 3),
+        "--batch-size": ("batch_size", "16", 16),
+        "--lr": ("learning_rate", "0.0005", 0.0005),
+        "--n": ("vocab_size", "20", 20),
+        "--seed": ("seed", "9", 9),
+        "--val-split": ("val_fraction", "0.2", 0.2),
+        "--dtype": ("dtype", "float64", "float64"),
+        "--k": ("k", "4", 4),
+        "--vocab-from-all": ("vocab_from_all", None, True),
+    }
+    argv = ["cv", "--manifest", "data.csv"]
+    for flag, (_, text, _) in flags.items():
+        argv += [flag] if text is None else [flag, text]
+    expected = {field: value for field, _, value in flags.values()}
+    defaults = asdict(TrainConfig())
+    assert all(defaults[field] != value for field, value in expected.items())
+    assert asdict(_load_config(_build_parser().parse_args(argv))) == {**defaults, **expected}
+
+
+def test_cv_with_one_fold_is_a_usage_error(corpus_dir, capsys):
+    # One fold leaves no training set to rank a vocabulary over.
+    assert main([
+        "cv", "--manifest", str(corpus_dir / "data.csv"),
+        "--k", "1", "--epochs", "1", "--n", "16",
+    ]) == 1
+    assert "k must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_cv_with_no_workers_is_a_usage_error(corpus_dir, capsys, jobs):
+    assert main([
+        "cv", "--manifest", str(corpus_dir / "data.csv"),
+        "--k", "2", "--epochs", "1", "--n", "16", "--jobs", jobs,
+    ]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_synth_subcommand(tmp_path):

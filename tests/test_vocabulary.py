@@ -1,104 +1,83 @@
-import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from botgrid.errors import DuplicateEntry, EmptyCorpus, EmptyFile
 from botgrid.manifest import PermissionSet
-from botgrid.vocabulary import (
-    FrequencyList,
-    PermissionVocabulary,
-    count_frequencies,
-    load_vocabulary,
-    merge_vocabulary,
-    save_vocabulary,
-)
+from botgrid.training import build_fold_vocabulary
+from botgrid.vocabulary import PermissionVocabulary, load_vocabulary, save_vocabulary
 
 
-def ps(i, *perms):
-    return PermissionSet(f"app{i}", frozenset(perms))
-
-
-def test_direct_count():
-    fl = count_frequencies(
-        [ps(0, "INTERNET"), ps(1, "INTERNET", "SEND_SMS")], "botnet"
-    )
-    assert fl.corpus_size == 2
-    assert [(e.permission, e.count, e.fraction) for e in fl.entries] == [
-        ("INTERNET", 2, 1.0),
-        ("SEND_SMS", 1, 0.5),
+def rank(botnet_sets, benign_sets, n):
+    """build_fold_vocabulary over botnet apps, then benign apps."""
+    perm_sets = [
+        PermissionSet(f"{label}{i}", frozenset(perms))
+        for label, sets in (("botnet", botnet_sets), ("benign", benign_sets))
+        for i, perms in enumerate(sets)
     ]
-
-
-def test_count_sorting_count_desc_then_name_asc():
-    sets = [ps(0, "b", "a"), ps(1, "a", "b"), ps(2, "c")]
-    fl = count_frequencies(sets, "benign")
-    assert [e.permission for e in fl.entries] == ["a", "b", "c"]
-
-
-def test_empty_permission_set_counts():
-    fl = count_frequencies([ps(0)], "benign")
-    assert fl.entries == ()
-    assert fl.corpus_size == 1
+    labels = ["botnet"] * len(botnet_sets) + ["benign"] * len(benign_sets)
+    return build_fold_vocabulary(perm_sets, labels, n)
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
-        count_frequencies([], "botnet")
+    with pytest.raises(EmptyCorpus, match="no botnet samples to count"):
+        rank([], [{"a"}], 4)
+    with pytest.raises(EmptyCorpus, match="no benign samples to count"):
+        rank([{"a"}], [], 4)
+    with pytest.raises(EmptyCorpus, match="no application in either class"):
+        rank([set()], [set(), set()], 4)
+    with pytest.raises(ValueError, match="vocabulary size must be >= 1"):
+        rank([{"a"}], [{"a"}], 0)
 
 
 def test_read_phone_state_style_fraction():
-    # A corpus built so one permission appears in 90.48% of botnet apps
-    # and 33.08% of benign apps reproduces those fractions exactly.
+    # READ_PHONE_STATE in 90.48% of 2500 botnet apps and 33.08% of 5000
+    # benign apps.  One benign app more or less moves a permission with
+    # the same botnet share past it either way, and SEND_SMS with the
+    # class shares swapped ties it exactly and loses on the name, though
+    # it is requested by 5351 apps against 3916.
+    rps, sms = "android.permission.READ_PHONE_STATE", "android.permission.SEND_SMS"
+    below, above = "android.permission.ACCESS_WIFI_STATE", "android.permission.WAKE_LOCK"
     botnet = [
-        ps(i, *(["android.permission.READ_PHONE_STATE"] if i < 2262 else []))
+        {p for p, share in ((rps, 2262), (sms, 827), (below, 2262), (above, 2262)) if i < share}
         for i in range(2500)
     ]
     benign = [
-        ps(i, *(["android.permission.READ_PHONE_STATE"] if i < 827 else []))
-        for i in range(2500)
+        {p for p, share in ((rps, 1654), (sms, 4524), (below, 1653), (above, 1655)) if i < share}
+        for i in range(5000)
     ]
-    bot_fl = count_frequencies(botnet, "botnet")
-    ben_fl = count_frequencies(benign, "benign")
-    assert math.isclose(bot_fl.entries[0].fraction, 0.9048, rel_tol=1e-12)
-    assert math.isclose(ben_fl.entries[0].fraction, 0.3308, rel_tol=1e-12)
+    assert rank(botnet, benign, 41).permissions == (above, rps, sms, below)
 
 
 def test_permutation_invariance():
-    sets = [ps(0, "a"), ps(1, "a", "b"), ps(2, "c", "b")]
-    fl1 = count_frequencies(sets, "botnet")
-    fl2 = count_frequencies(list(reversed(sets)), "botnet")
-    assert fl1.entries == fl2.entries
-
-
-def freq(label, corpus_size, **fractions):
-    from botgrid.vocabulary import FrequencyEntry
-
-    entries = sorted(
-        (
-            FrequencyEntry(name, round(f * corpus_size), f)
-            for name, f in fractions.items()
-        ),
-        key=lambda e: (-e.count, e.permission),
-    )
-    return FrequencyList(label, tuple(entries), corpus_size)
+    perm_sets = [
+        PermissionSet(f"app{i}", frozenset(perms))
+        for i, perms in enumerate([{"a"}, {"a", "b"}, {"c", "b"}, {"c"}, {"d", "a"}, set()])
+    ]
+    labels = ["botnet", "botnet", "botnet", "benign", "benign", "benign"]
+    expected = build_fold_vocabulary(perm_sets, labels, 3)
+    pairs = list(zip(perm_sets, labels))
+    for seed in range(5):
+        random.Random(seed).shuffle(pairs)
+        sets, shuffled_labels = zip(*pairs)
+        assert build_fold_vocabulary(list(sets), list(shuffled_labels), 3) == expected
 
 
 def test_merge_symmetric_tie_breaks_by_name():
-    vocab = merge_vocabulary(freq("botnet", 10, A=1.0), freq("benign", 10, B=1.0), 2)
-    assert vocab.permissions == ("A", "B")
+    assert rank([{"B"}], [{"A"}], 2).permissions == ("A", "B")
 
 
 def test_merge_scoring_rule_forced():
-    botnet = freq("botnet", 10, A=0.9, B=0.1)
-    benign = freq("benign", 10, B=0.8, A=0.1)
-    vocab = merge_vocabulary(botnet, benign, 1)
-    assert vocab.permissions == ("A",)  # 1.0 beats 0.9
+    # A: 9/10 botnet + 1/10 benign = 1.0; B: 1/10 + 8/10 = 0.9
+    botnet = [{"A"}] * 9 + [{"B"}]
+    benign = [{"B"}] * 8 + [{"A"}] + [set()]
+    assert rank(botnet, benign, 1).permissions == ("A",)  # 1.0 beats 0.9
 
 
 def test_merge_reports_actual_size_when_union_small():
-    vocab = merge_vocabulary(freq("botnet", 4, A=0.5), freq("benign", 4, B=0.25), 41)
-    assert len(vocab) == 2
+    vocab = rank([{"A"}, {"A"}, set(), set()], [{"B"}, set(), set(), set()], 41)
+    assert vocab.permissions == ("A", "B")
 
 
 @given(
@@ -111,18 +90,12 @@ def test_merge_reports_actual_size_when_union_small():
     n=st.integers(min_value=1, max_value=20),
 )
 def test_merge_matches_brute_force(bot_sets, ben_sets, n):
-    botnet = count_frequencies(
-        [PermissionSet(f"b{i}", s) for i, s in enumerate(bot_sets)], "botnet"
-    )
-    benign = count_frequencies(
-        [PermissionSet(f"n{i}", s) for i, s in enumerate(ben_sets)], "benign"
-    )
     union = set().union(*bot_sets) | set().union(*ben_sets)
     if not union:
         with pytest.raises(EmptyCorpus):
-            merge_vocabulary(botnet, benign, n)
+            rank(bot_sets, ben_sets, n)
         return
-    vocab = merge_vocabulary(botnet, benign, n)
+    vocab = rank(bot_sets, ben_sets, n)
 
     # brute-force re-ranking of the union by summed class fractions
     def score(p):
