@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from botgrid import training
 from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode
 from botgrid.manifest import read_permissions
@@ -204,6 +205,32 @@ def test_cv_with_no_workers_is_a_usage_error(corpus_dir, capsys, jobs):
         "--k", "2", "--epochs", "1", "--n", "16", "--jobs", jobs,
     ]) == 1
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_cv_starts_no_more_workers_than_folds(corpus_dir, monkeypatch):
+    requested = []
+
+    class InlinePool:
+        """Records the worker count asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
+    assert main([
+        "cv", "--manifest", str(corpus_dir / "data.csv"),
+        "--k", "2", "--epochs", "1", "--n", "16", "--jobs", "8",
+    ]) == 0
+    assert requested == [2]
 
 
 def test_synth_subcommand(tmp_path):

@@ -201,6 +201,24 @@ def test_interleaved_inference_leaves_gradients_unchanged():
         assert np.array_equal(g_expected, g_got)
 
 
+def test_forward_is_batch_invariant_from_four_rows():
+    # evaluate forwards distinct images in chunks and relies on this: any
+    # forward of 4 or more rows gives each row the bits of a whole-batch one
+    model = build_reference_model(seed=3)
+    rng = np.random.default_rng(2)
+    v = (rng.random((30, 41)) < 0.3).astype(np.float32)
+    v = np.concatenate([v, v[rng.integers(0, 30, 10)]])
+    images = (1 - v[:, :, None] * v[:, None, :])[..., None]
+    whole = model.forward(images)
+    for size in (4, 5, 16):
+        chunked = np.concatenate(
+            [model.forward(images[i : i + size]) for i in range(0, len(images), size)]
+        )
+        assert chunked.tobytes() == whole.tobytes()
+    order = rng.permutation(len(images))
+    assert model.forward(images[order]).tobytes() == whole[order].tobytes()
+
+
 def test_threaded_inference_matches_serial():
     model = build_reference_model(seed=3)
     rng = np.random.default_rng(1)

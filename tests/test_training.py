@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from botgrid import training
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
@@ -144,6 +145,45 @@ def test_evaluate_counts_and_metrics(small_corpus):
     assert metrics.counts.total == len(labels)
     with pytest.raises(EmptyDataset):
         evaluate(model, tensors[:0], labels[:0])
+
+
+def _predict_every_row(model, tensors):
+    """Inference without deduplication: every row in chunks of 256."""
+    return np.concatenate(
+        [model.predict(tensors[i : i + 256]) for i in range(0, len(tensors), 256)]
+    )
+
+
+def test_evaluate_forwards_each_distinct_image_once(small_corpus, monkeypatch):
+    _, _, _, tensors, labels = small_corpus
+    tensors = np.concatenate([tensors, tensors[::2], tensors[::3]])
+    labels = np.concatenate([labels, labels[::2], labels[::3]])
+    distinct = len(np.unique(tensors.reshape(len(tensors), -1), axis=0))
+    assert 4 <= distinct < len(tensors)
+    model, _ = train(tensors, labels, TrainConfig(epochs=1, seed=5, vocab_size=16))
+    whole = np.argmax(model.forward(tensors), axis=1)
+
+    rows = []
+    forward = model.forward
+
+    def counting_forward(batch, train=False):
+        rows.append(len(batch))
+        return forward(batch, train)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    metrics = evaluate(model, tensors, labels)
+    assert sum(rows) == distinct
+    assert metrics.counts == ConfusionCounts.from_predictions(whole, labels)
+
+
+def test_val_acc_matches_inference_without_dedup(small_corpus, monkeypatch):
+    _, _, _, tensors, labels = small_corpus
+    tensors, labels = np.concatenate([tensors, tensors]), np.concatenate([labels, labels])
+    cfg = TrainConfig(epochs=3, seed=3, vocab_size=16, val_fraction=0.3)
+    _, trace = train(tensors, labels, cfg)
+    monkeypatch.setattr(training, "_predict_distinct", _predict_every_row)
+    _, expected = train(tensors, labels, cfg)
+    assert [row.val_acc for row in trace] == [row.val_acc for row in expected]
 
 
 def test_predict_consistency_with_evaluate(small_corpus):
