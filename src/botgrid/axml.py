@@ -6,10 +6,12 @@ flag 0x100 is set), an optional resource map (0x0180), then namespace
 and element chunks that describe the document tree.  All string-valued
 fields are indices into the pool.
 
-Every read is bounds-checked against the declared chunk sizes, so
-arbitrary input either parses or fails with one of the declared errors;
-it never reads out of bounds or allocates proportionally to a forged
-length field.
+Each fixed-size record (a chunk header, the string-pool header, an
+element's start and end records, an attribute record) is read whole
+after one bounds check against the declared chunk sizes, and every
+variable-length read is checked the same way.  So arbitrary input either
+parses or fails with one of the declared errors; it never reads out of
+bounds or allocates proportionally to a forged length field.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ RES_XML_START_NAMESPACE = 0x0100
 RES_XML_END_NAMESPACE = 0x0101
 RES_XML_START_ELEMENT = 0x0102
 RES_XML_END_ELEMENT = 0x0103
-RES_XML_CDATA = 0x0104
-RES_XML_RESOURCE_MAP = 0x0180
 
 UTF8_FLAG = 0x00000100
 NO_INDEX = 0xFFFFFFFF
@@ -39,7 +39,16 @@ TYPE_INT_DEC = 0x10
 TYPE_INT_HEX = 0x11
 TYPE_INT_BOOLEAN = 0x12
 
-ATTRIBUTE_RECORD_SIZE = 20
+_CHUNK_HEADER = struct.Struct("<HHI")  # type, header size, chunk size
+# string count, style count, flags, strings start, styles start
+_POOL_HEADER = struct.Struct("<5I")
+# namespace, name, attribute start, attribute size, attribute count, then
+# the id/class/style attribute indices (skipped)
+_START_ELEMENT = struct.Struct("<IIHHH6x")
+# namespace, name, raw value, typed value size (skipped), res0 (skipped),
+# data type, data
+_ATTRIBUTE = struct.Struct("<IIIxxxBI")
+_END_ELEMENT = struct.Struct("<4xI")  # namespace (skipped), name
 
 
 def is_axml(data: bytes) -> bool:
@@ -47,62 +56,28 @@ def is_axml(data: bytes) -> bool:
     return len(data) >= 4 and data[:2] == b"\x03\x00" and data[2:4] == b"\x08\x00"
 
 
-class _Reader:
-    """Bounds-checked little-endian cursor over one buffer region."""
-
-    def __init__(self, data: bytes, pos: int, limit: int):
-        self.data = data
-        self.pos = pos
-        self.limit = limit
-
-    def need(self, n: int) -> None:
-        if self.pos + n > self.limit:
-            raise TruncatedChunk(
-                f"need {n} bytes at offset {self.pos}, only {self.limit - self.pos} remain"
-            )
-
-    def u8(self) -> int:
-        self.need(1)
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
-
-    def u16(self) -> int:
-        self.need(2)
-        v = struct.unpack_from("<H", self.data, self.pos)[0]
-        self.pos += 2
-        return v
-
-    def u32(self) -> int:
-        self.need(4)
-        v = struct.unpack_from("<I", self.data, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def skip(self, n: int) -> None:
-        self.need(n)
-        self.pos += n
+def _unpack(record: struct.Struct, data: bytes, pos: int, limit: int) -> tuple:
+    """Unpack one fixed-size record after a single bounds check."""
+    if pos + record.size > limit:
+        raise TruncatedChunk(
+            f"need {record.size} bytes at offset {pos}, only {limit - pos} remain"
+        )
+    return record.unpack_from(data, pos)
 
 
 class _StringPool:
     """Lazy string pool; strings decode on first reference."""
 
     def __init__(self, data: bytes, chunk_start: int, header_size: int, chunk_size: int):
-        rd = _Reader(data, chunk_start + 8, chunk_start + chunk_size)
-        self.string_count = rd.u32()
-        self.style_count = rd.u32()
-        flags = rd.u32()
+        self.string_count, self.style_count, flags, strings_start, styles_start = _unpack(
+            _POOL_HEADER, data, chunk_start + 8, chunk_start + chunk_size
+        )
         self.is_utf8 = bool(flags & UTF8_FLAG)
-        strings_start = rd.u32()
-        styles_start = rd.u32()
 
         offsets_at = chunk_start + header_size
         if offsets_at + 4 * self.string_count > chunk_start + chunk_size:
             raise TruncatedChunk("string offset table exceeds pool chunk")
-        self._offsets = [
-            struct.unpack_from("<I", data, offsets_at + 4 * i)[0]
-            for i in range(self.string_count)
-        ]
+        self._offsets = struct.unpack_from(f"<{self.string_count}I", data, offsets_at)
         self._data = data
         self._base = chunk_start + strings_start
         end = chunk_start + (styles_start if self.style_count and styles_start else chunk_size)
@@ -194,15 +169,12 @@ def _format_typed_value(data_type: int, data: int, pool: _StringPool) -> str:
 
 def parse_axml(data: bytes) -> ManifestDocument:
     """Decode an AXML buffer into the manifest element tree."""
-    if len(data) < 8:
-        raise TruncatedChunk(f"AXML header needs 8 bytes, got {len(data)}")
-    file_type, header_size = struct.unpack_from("<HH", data, 0)
+    file_type, header_size, declared = _unpack(_CHUNK_HEADER, data, 0, len(data))
     if file_type != RES_XML_TYPE or header_size != 8:
         raise BadMagic(
             f"expected file chunk type 0x0003 with header size 8, "
             f"got type 0x{file_type:04x} size {header_size}"
         )
-    declared = struct.unpack_from("<I", data, 4)[0]
     if declared > len(data):
         raise TruncatedChunk(f"file chunk declares {declared} bytes, buffer has {len(data)}")
     limit = declared
@@ -214,10 +186,7 @@ def parse_axml(data: bytes) -> ManifestDocument:
     ns_depth = 0
 
     while pos < limit:
-        if pos + 8 > limit:
-            raise TruncatedChunk(f"chunk header at offset {pos} is truncated")
-        ctype, chsize = struct.unpack_from("<HH", data, pos)
-        csize = struct.unpack_from("<I", data, pos + 4)[0]
+        ctype, chsize, csize = _unpack(_CHUNK_HEADER, data, pos, limit)
         if csize < chsize or chsize < 8:
             raise TruncatedChunk(
                 f"chunk 0x{ctype:04x} declares size {csize} with header {chsize}"
@@ -233,8 +202,6 @@ def parse_axml(data: bytes) -> ManifestDocument:
                     f"expected string pool chunk after file header, got 0x{ctype:04x}"
                 )
             pool = _StringPool(data, pos, chsize, csize)
-        elif ctype == RES_XML_RESOURCE_MAP or ctype == RES_XML_CDATA:
-            pass  # length-honored skip
         elif ctype == RES_XML_START_NAMESPACE:
             ns_depth += 1
         elif ctype == RES_XML_END_NAMESPACE:
@@ -251,7 +218,10 @@ def parse_axml(data: bytes) -> ManifestDocument:
                 raise UnbalancedElements("second root element")
             stack.append(element)
         elif ctype == RES_XML_END_ELEMENT:
-            name = _parse_end_element(data, pos, chsize, csize, pool)
+            (name_idx,) = _unpack(_END_ELEMENT, data, pos + chsize, pos + csize)
+            if name_idx == NO_INDEX:
+                raise BadStringIndex("end tag with no name string")
+            name = pool.get(name_idx)
             if not stack:
                 raise UnbalancedElements(f"end of element {name!r} with no element open")
             opened = stack.pop()
@@ -259,7 +229,8 @@ def parse_axml(data: bytes) -> ManifestDocument:
                 raise UnbalancedElements(
                     f"element {opened.name!r} closed by end tag {name!r}"
                 )
-        # Unknown chunk types are skipped by their declared length.
+        # Other chunk types (resource map, CDATA, ...) are skipped by their
+        # declared length.
 
         pos += csize
 
@@ -273,13 +244,10 @@ def parse_axml(data: bytes) -> ManifestDocument:
 def _parse_start_element(
     data: bytes, start: int, header_size: int, chunk_size: int, pool: _StringPool
 ) -> XmlElement:
-    rd = _Reader(data, start + header_size, start + chunk_size)
-    ns_idx = rd.u32()
-    name_idx = rd.u32()
-    attr_start = rd.u16()
-    attr_size = rd.u16()
-    attr_count = rd.u16()
-    rd.skip(6)  # id/class/style attribute indices
+    limit = start + chunk_size
+    ns_idx, name_idx, attr_start, attr_size, attr_count = _unpack(
+        _START_ELEMENT, data, start + header_size, limit
+    )
 
     if name_idx == NO_INDEX:
         raise BadStringIndex("element with no name string")
@@ -288,23 +256,17 @@ def _parse_start_element(
     if ns_idx != NO_INDEX:
         pool.get(ns_idx)  # validate the reference even though names are unprefixed
 
-    if attr_size < ATTRIBUTE_RECORD_SIZE:
+    if attr_size < _ATTRIBUTE.size:
         raise TruncatedChunk(f"attribute record size {attr_size} below minimum 20")
     attrs_at = start + header_size + attr_start
-    if attrs_at + attr_count * attr_size > start + chunk_size:
+    if attrs_at + attr_count * attr_size > limit:
         raise TruncatedChunk(
             f"{attr_count} attribute records overrun the element chunk"
         )
-    for i in range(attr_count):
-        ard = _Reader(data, attrs_at + i * attr_size, start + chunk_size)
-        a_ns = ard.u32()
-        a_name = ard.u32()
-        a_raw = ard.u32()
-        ard.u16()  # typed value size
-        ard.u8()  # res0
-        a_type = ard.u8()
-        a_data = ard.u32()
-
+    # With attr_size >= 20 and the check above, every record lies inside the
+    # chunk, so each is unpacked without a check of its own.
+    for at in range(attrs_at, attrs_at + attr_count * attr_size, attr_size):
+        a_ns, a_name, a_raw, a_type, a_data = _ATTRIBUTE.unpack_from(data, at)
         if a_name == NO_INDEX:
             raise BadStringIndex("attribute with no name string")
         namespace = "" if a_ns == NO_INDEX else pool.get(a_ns)
@@ -314,14 +276,3 @@ def _parse_start_element(
             value = _format_typed_value(a_type, a_data, pool)
         element.attributes.append(XmlAttribute(namespace, pool.get(a_name), value))
     return element
-
-
-def _parse_end_element(
-    data: bytes, start: int, header_size: int, chunk_size: int, pool: _StringPool
-) -> str:
-    rd = _Reader(data, start + header_size, start + chunk_size)
-    rd.u32()  # namespace
-    name_idx = rd.u32()
-    if name_idx == NO_INDEX:
-        raise BadStringIndex("end tag with no name string")
-    return pool.get(name_idx)

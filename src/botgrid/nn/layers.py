@@ -47,6 +47,8 @@ class Conv2D:
         kh, kw = kernel
         if kh < 1 or kw < 1 or stride[0] < 1 or stride[1] < 1:
             raise ShapeMismatch(f"invalid kernel {kernel} / stride {stride}")
+        if in_channels < 1 or out_channels < 1:
+            raise ShapeMismatch(f"invalid channels {in_channels} -> {out_channels}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = (kh, kw)
@@ -223,6 +225,8 @@ class Dense:
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
+        if in_features < 1 or out_features < 1:
+            raise ShapeMismatch(f"invalid features {in_features} -> {out_features}")
         self.in_features = in_features
         self.out_features = out_features
         self.relu = relu

@@ -4,6 +4,11 @@ Written directly from the wire format with its own constants and no
 imports from the package under test.  Documents are plain nested tuples:
 
     element = (name, [(namespace, attr_name, value), ...], [child, ...])
+
+A value is a string, written as a pool string, or a typed pair
+(attr_type, data) written with raw index NO_INDEX.  The data of a typed
+pair is a 32-bit word or, for ATTR_TYPE_STRING, a string whose pool
+index becomes the word.
 """
 
 import struct
@@ -17,7 +22,12 @@ ELEMENT_START_CHUNK = 0x0102
 ELEMENT_END_CHUNK = 0x0103
 POOL_UTF8_FLAG = 0x00000100
 NO_INDEX = 0xFFFFFFFF
+ATTR_TYPE_REFERENCE = 0x01
 ATTR_TYPE_STRING = 0x03
+ATTR_TYPE_FLOAT = 0x04
+ATTR_TYPE_INT_DEC = 0x10
+ATTR_TYPE_INT_HEX = 0x11
+ATTR_TYPE_INT_BOOLEAN = 0x12
 
 ANDROID_URI = "http://schemas.android.com/apk/res/android"
 
@@ -41,7 +51,10 @@ def _collect(element, pool: _Pool) -> None:
         if ns:
             pool.add(ns)
         pool.add(attr_name)
-        pool.add(value)
+        if isinstance(value, str):
+            pool.add(value)
+        elif isinstance(value[1], str):
+            pool.add(value[1])
     for child in children:
         _collect(child, pool)
 
@@ -102,15 +115,23 @@ def _encode_element(element, pool: _Pool) -> bytes:
         0, 0, 0,  # id/class/style attribute slots
     )
     for ns, attr_name, value in attrs:
+        if isinstance(value, str):
+            raw = data = pool.add(value)
+            attr_type = ATTR_TYPE_STRING
+        else:
+            raw = NO_INDEX
+            attr_type, data = value
+            if isinstance(data, str):
+                data = pool.add(data)
         out += struct.pack(
             "<IIIHBBI",
             pool.add(ns) if ns else NO_INDEX,
             pool.add(attr_name),
-            pool.add(value),
+            raw,
             8,  # typed value size
             0,  # res0
-            ATTR_TYPE_STRING,
-            pool.add(value),
+            attr_type,
+            data,
         )
     for child in children:
         out += _encode_element(child, pool)

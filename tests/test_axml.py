@@ -13,7 +13,17 @@ from botgrid.errors import (
 )
 from botgrid.xmldoc import ANDROID_NS, ManifestDocument, XmlAttribute, XmlElement
 
-from axml_writer import ANDROID_URI, build_axml, permissions_manifest
+from axml_writer import (
+    ANDROID_URI,
+    ATTR_TYPE_FLOAT,
+    ATTR_TYPE_INT_BOOLEAN,
+    ATTR_TYPE_INT_DEC,
+    ATTR_TYPE_INT_HEX,
+    ATTR_TYPE_REFERENCE,
+    ATTR_TYPE_STRING,
+    build_axml,
+    permissions_manifest,
+)
 
 
 def to_document(tree) -> ManifestDocument:
@@ -68,6 +78,29 @@ def test_non_ascii_strings_survive():
     for utf8 in (False, True):
         doc = parse_axml(build_axml(tree, utf8=utf8))
         assert doc.root.attribute("label") == "приложение ☂"
+
+
+@pytest.mark.parametrize(
+    "typed, text",
+    [
+        ((ATTR_TYPE_INT_DEC, 42), "42"),
+        ((ATTR_TYPE_INT_DEC, 0xFFFFFFFF), "-1"),
+        ((ATTR_TYPE_INT_BOOLEAN, 0xFFFFFFFF), "true"),
+        ((ATTR_TYPE_INT_BOOLEAN, 0), "false"),
+        ((ATTR_TYPE_INT_HEX, 0x10), "0x10"),
+        ((ATTR_TYPE_REFERENCE, 0x7F040001), "@0x7f040001"),
+        ((ATTR_TYPE_FLOAT, 0x3F800000), "1.0"),
+        ((ATTR_TYPE_STRING, "by-data"), "by-data"),
+        ((0x1C, 0xFF00FF00), "0xff00ff00"),  # a color: no formatting of its own
+    ],
+    ids=["int", "int-negative", "true", "false", "hex", "reference", "float",
+         "string-by-data", "unknown-type"],
+)
+@pytest.mark.parametrize("utf8", [False, True], ids=["utf16", "utf8"])
+def test_typed_attribute_values(typed, text, utf8):
+    tree = ("manifest", [(ANDROID_URI, "versionCode", typed)], [])
+    doc = parse_axml(build_axml(tree, utf8=utf8))
+    assert doc.root.attribute("versionCode", ANDROID_NS) == text
 
 
 def test_declared_size_beyond_buffer():

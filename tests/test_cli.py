@@ -6,6 +6,7 @@ import pytest
 from botgrid import training
 from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode
+from botgrid.errors import NonFiniteLoss
 from botgrid.manifest import read_permissions
 from botgrid.nn.model import load_model
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
@@ -243,7 +244,7 @@ def test_synth_subcommand(tmp_path):
     assert len(list(out.glob("*.txt"))) == 8
 
 
-def test_exit_codes(tmp_path, corpus_dir):
+def test_exit_codes(tmp_path, corpus_dir, monkeypatch, capsys):
     # usage: unknown flag
     with pytest.raises(SystemExit) as exc:
         main(["cv", "--bogus"])
@@ -264,6 +265,26 @@ def test_exit_codes(tmp_path, corpus_dir):
     assert main([
         "cv", "--manifest", str(corpus_dir / "data.csv"), "--config", str(cfg),
     ]) == 1
+    # parse: malformed JSON config
+    cfg.write_text("{")
+    capsys.readouterr()
+    assert main([
+        "cv", "--manifest", str(corpus_dir / "data.csv"), "--config", str(cfg),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert "Traceback" not in err
+
+    # numeric divergence
+    def diverge(tensors, labels, config):
+        raise NonFiniteLoss("loss is nan at epoch 1")
+
+    monkeypatch.setattr("botgrid.cli.train", diverge)
+    assert main([
+        "train", "--manifest", str(corpus_dir / "data.csv"), "--n", "16",
+        "--model-out", str(tmp_path / "model.bin"),
+    ]) == 4
+    assert "numeric divergence" in capsys.readouterr().err
 
 
 def test_predict_with_rejected_model_geometry_exits_parse(tmp_path, corpus_dir):

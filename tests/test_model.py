@@ -1,3 +1,4 @@
+import random
 import struct
 import tracemalloc
 import zlib
@@ -6,9 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from botgrid.cli import main
 from botgrid.errors import (
     BadMagic,
     ChecksumMismatch,
+    ParseError,
     ShapeMismatch,
     TruncatedChunk,
     VersionMismatch,
@@ -237,8 +240,11 @@ def test_threaded_inference_matches_serial():
 # three dims (12), layer count (4), then 14 bytes per layer spec with its
 # unit count at +10.
 PAYLOAD = 8 + 12
+INPUT_CHANNELS = PAYLOAD + 9 + 1 + 8
 SPECS = PAYLOAD + 9 + 1 + 12 + 4
+CONV1_CHANNELS = SPECS + 10
 DENSE1_UNITS = SPECS + 8 * 14 + 10
+DENSE2_UNITS = SPECS + 9 * 14 + 10
 POOL1_KERNEL_AND_STRIDE = SPECS + 14 + 2
 
 
@@ -254,8 +260,16 @@ def forge_reference_model(path, offset, fmt, *values) -> bytes:
 
 @pytest.mark.parametrize(
     "offset, fmt, value",
-    [(DENSE1_UNITS, "<I", 8192), (PAYLOAD, "<B", 2), (PAYLOAD + 9, "<B", 2)],
-    ids=["dense-units", "dtype-code", "rank"],
+    [
+        (DENSE1_UNITS, "<I", 8192),
+        (PAYLOAD, "<B", 2),
+        (PAYLOAD + 9, "<B", 2),
+        (CONV1_CHANNELS, "<I", 0),
+        (INPUT_CHANNELS, "<I", 0),
+        (DENSE2_UNITS, "<I", 0),
+    ],
+    ids=["dense-units", "dtype-code", "rank", "conv-channels-0", "input-channels-0",
+         "dense-units-0"],
 )
 def test_forged_model_fails_before_allocating(tmp_path, offset, fmt, value):
     path = tmp_path / "model.bin"
@@ -276,3 +290,67 @@ def test_model_with_rejected_geometry_is_a_parse_error(tmp_path):
     forge_reference_model(path, POOL1_KERNEL_AND_STRIDE, "<4H", 64, 64, 64, 64)
     with pytest.raises(ChecksumMismatch, match="smaller than pooling window"):
         load_model(path)
+
+
+def _fuzzed_model_files(blob: bytes):
+    """Hostile variants of a saved model file: truncations through the spec
+    table, then single bit flips and byte overwrites with the CRC fixed."""
+    spec_end = SPECS + len(REDUCED) * 14
+    for cut in range(spec_end + 1):
+        yield blob[:cut]
+
+    def with_crc(edited: bytearray) -> bytes:
+        struct.pack_into("<I", edited, len(edited) - 4, zlib.crc32(edited[PAYLOAD:-4]))
+        return bytes(edited)
+
+    # every bit of the header and spec table, and a seeded sample of the rest
+    later_bits = range(8 * spec_end, 8 * (len(blob) - 4))
+    for bit in [*range(8 * spec_end), *random.Random(5).sample(later_bits, 400)]:
+        edited = bytearray(blob)
+        edited[bit // 8] ^= 1 << (bit % 8)
+        yield with_crc(edited)
+    for at in range(spec_end):
+        for value in (0, 1, 2, 255):
+            edited = bytearray(blob)
+            edited[at] = value
+            yield with_crc(edited)
+
+
+def test_fuzzed_model_file_loads_or_is_a_parse_error(tmp_path):
+    save_model(build_model(REDUCED, (9, 9, 1), seed=21), tmp_path / "model.bin")
+    blob = (tmp_path / "model.bin").read_bytes()
+    path = tmp_path / "fuzzed.bin"
+    sampled = []  # (file bytes, exit code predict should give)
+    tracemalloc.start()
+    try:
+        for i, data in enumerate(_fuzzed_model_files(blob)):
+            path.write_bytes(data)
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            try:
+                # a flipped exponent can take a stored float64 past float32's range
+                with np.errstate(over="ignore"):
+                    model = load_model(path)
+            except ParseError:
+                model = None
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before < 16 * len(blob), f"input {i}: peak {peak - before}"
+            if i % 40 == 0:
+                # a model that loads but no longer takes 9x9 images does not fit
+                # the vocabulary, which is a precondition error
+                fits = model is not None and model.input_shape == (9, 9, 1)
+                sampled.append((data, 3 if model is None else 0 if fits else 1))
+    finally:
+        tracemalloc.stop()
+
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"android.permission.P{k}\n" for k in range(9)))
+    sample = tmp_path / "sample.txt"
+    sample.write_text("android.permission.P1\nandroid.permission.P4\n")
+    argv = ["predict", "--model", str(path), "--vocab", str(vocab), "--kind", "permlist",
+            str(sample)]
+    assert {code for _, code in sampled} >= {0, 3}
+    for data, code in sampled:
+        path.write_bytes(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == code
