@@ -65,16 +65,6 @@ class Conv2D:
         self.grad_bias: np.ndarray | None = None
         self._cache = None
 
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(input_shape) != 3 or input_shape[2] != self.in_channels:
-            raise ShapeMismatch(
-                f"conv expects (H, W, {self.in_channels}), got {input_shape}"
-            )
-        h, w, _ = input_shape
-        out_h, _, _ = _same_padding(h, self.kernel[0], self.stride[0])
-        out_w, _, _ = _same_padding(w, self.kernel[1], self.stride[1])
-        return (out_h, out_w, self.out_channels)
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeMismatch(
@@ -153,15 +143,6 @@ class MaxPool2D:
         self.stride = stride
         self._cache = None
 
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(input_shape) != 3:
-            raise ShapeMismatch(f"maxpool expects (H, W, C), got {input_shape}")
-        h, w, c = input_shape
-        kh, kw = self.kernel
-        if h < kh or w < kw:
-            raise ShapeMismatch(f"input {input_shape} smaller than pooling window {self.kernel}")
-        return (h // kh, w // kw, c)
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeMismatch(f"maxpool expects (N, H, W, C), got {x.shape}")
@@ -239,14 +220,6 @@ class Dense:
         self.grad_bias: np.ndarray | None = None
         self._cache = None
 
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        flat = int(np.prod(input_shape))
-        if flat != self.in_features:
-            raise ShapeMismatch(
-                f"dense expects {self.in_features} inputs, got {input_shape} ({flat})"
-            )
-        return (self.out_features,)
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         n = x.shape[0]
         x2 = x.reshape(n, -1)
@@ -287,11 +260,6 @@ class Softmax:
 
     def __init__(self):
         self._cache = None
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(input_shape) != 1:
-            raise ShapeMismatch(f"softmax expects a flat input, got {input_shape}")
-        return input_shape
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 2:

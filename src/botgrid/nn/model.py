@@ -5,6 +5,10 @@ The reference architecture is an 11-stage stack for n x n x 1 inputs
 followed by Dense 256 -> Dense 16 -> Dense 2 with a final softmax.  The
 first dense layer owns the row-major flatten of the (2, 2, 256) feature
 map into 1024 inputs.
+
+Layer geometry is worked out once, before anything is allocated:
+`CnnModel` builds its layers from the shapes `_layer_shapes` returns,
+and `load_model` bounds a file's parameter count by the same shapes.
 """
 
 from __future__ import annotations
@@ -87,13 +91,11 @@ class CnnModel:
         self.dtype = np.dtype(dtype)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
+        shapes = _layer_shapes(self.specs, self.input_shape)
+        self.output_shapes = shapes[1:]
         self.layers = []
-        self.output_shapes: list[tuple[int, ...]] = []
-        shape = self.input_shape
-        for spec in self.specs:
+        for spec, shape in zip(self.specs, shapes):
             if spec.kind == "conv":
-                if len(shape) != 3:
-                    raise ShapeMismatch(f"conv layer after flat shape {shape}")
                 layer = Conv2D(
                     shape[2], spec.out_channels, spec.kernel, spec.stride,
                     relu=spec.relu, rng=rng, dtype=self.dtype,
@@ -102,14 +104,12 @@ class CnnModel:
                 layer = MaxPool2D(spec.kernel, spec.stride)
             elif spec.kind == "dense":
                 layer = Dense(
-                    int(np.prod(shape)), spec.out_units,
+                    math.prod(shape), spec.out_units,
                     relu=spec.relu, rng=rng, dtype=self.dtype,
                 )
             else:
                 layer = Softmax()
-            shape = layer.output_shape(shape)
             self.layers.append(layer)
-            self.output_shapes.append(shape)
 
     def forward(self, batch: np.ndarray, train: bool = False) -> np.ndarray:
         batch = np.asarray(batch)
@@ -141,6 +141,41 @@ class CnnModel:
 
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads()]
+
+
+def _layer_shapes(specs, input_shape) -> list[tuple[int, ...]]:
+    """The input shape, then each layer's output shape, worked out without
+    allocating.  Raises ShapeMismatch at the first spec the shape cannot take."""
+    shapes = [tuple(input_shape)]
+    for spec in specs:
+        shape = shapes[-1]
+        if spec.kind in ("conv", "maxpool"):
+            (kh, kw), (sh, sw) = spec.kernel, spec.stride
+            if len(shape) != 3:
+                raise ShapeMismatch(f"{spec.kind} layer after flat shape {shape}")
+            if min(kh, kw, sh, sw) < 1:
+                raise ShapeMismatch(f"invalid kernel {spec.kernel} / stride {spec.stride}")
+        if spec.kind == "conv":
+            if shape[2] < 1 or spec.out_channels < 1:
+                raise ShapeMismatch(f"invalid channels {shape[2]} -> {spec.out_channels}")
+            h, w = _same_padding(shape[0], kh, sh)[0], _same_padding(shape[1], kw, sw)[0]
+            shape = (h, w, spec.out_channels)
+        elif spec.kind == "maxpool":
+            if (kh, kw) != (sh, sw):
+                raise ShapeMismatch(
+                    f"pooling requires stride == kernel, got {spec.kernel} / {spec.stride}"
+                )
+            if shape[0] < kh or shape[1] < kw:
+                raise ShapeMismatch(f"input {shape} smaller than pooling window {spec.kernel}")
+            shape = (shape[0] // kh, shape[1] // kw, shape[2])
+        elif spec.kind == "dense":
+            if math.prod(shape) < 1 or spec.out_units < 1:
+                raise ShapeMismatch(f"invalid features {math.prod(shape)} -> {spec.out_units}")
+            shape = (spec.out_units,)
+        elif len(shape) != 1:
+            raise ShapeMismatch(f"softmax expects a flat input, got {shape}")
+        shapes.append(shape)
+    return shapes
 
 
 def build_model(
@@ -228,18 +263,24 @@ def load_model(path) -> CnnModel:
                 out_units=out if kind == "dense" else None,
             )
         )
+    try:
+        shapes = _layer_shapes(specs, input_shape)
+    except ShapeMismatch as exc:
+        raise ChecksumMismatch(f"{path}: layer geometry rejected: {exc}") from exc
     # Bound the allocation by the file before building any layer: every
     # parameter is stored as 8 bytes in what is left of the payload.
-    implied = _implied_param_count(specs, input_shape)
+    implied = 0
+    for spec, shape in zip(specs, shapes):
+        if spec.kind == "conv":
+            implied += (math.prod(spec.kernel) * shape[2] + 1) * spec.out_channels
+        elif spec.kind == "dense":
+            implied += (math.prod(shape) + 1) * spec.out_units
     if 8 * implied > len(payload) - rd.pos:
         raise ChecksumMismatch(
             f"{path}: layer specs imply {implied} parameters, "
             f"more than the payload holds"
         )
-    try:
-        model = CnnModel(tuple(specs), input_shape, seed, dtype)
-    except ShapeMismatch as exc:
-        raise ChecksumMismatch(f"{path}: layer geometry rejected: {exc}") from exc
+    model = CnnModel(tuple(specs), input_shape, seed, dtype)
     params = model.params()
     (n_params,) = rd.unpack("<I")
     if n_params != len(params):
@@ -250,37 +291,13 @@ def load_model(path) -> CnnModel:
         if shape != p.shape:
             raise ChecksumMismatch(f"{path}: stored shape {shape} != expected {p.shape}")
         values = rd.raw(8 * int(np.prod(shape)))
-        loaded = np.frombuffer(values, dtype="<f8").reshape(shape)
-        np.copyto(p, loaded.astype(model.dtype))
+        # a stored float64 past float32's range would load as inf
+        with np.errstate(over="ignore"):
+            loaded = np.frombuffer(values, dtype="<f8").reshape(shape).astype(model.dtype)
+        if not np.isfinite(loaded).all():
+            raise ChecksumMismatch(f"{path}: non-finite parameter values")
+        np.copyto(p, loaded)
     return model
-
-
-def _implied_param_count(specs: list[LayerSpec], input_shape: tuple[int, ...]) -> int:
-    """Parameters CnnModel would allocate for specs, counted without
-    allocating.  The walk stops at the first spec CnnModel rejects, since
-    construction fails there before that layer allocates."""
-    count = 0
-    shape = tuple(input_shape)
-    for spec in specs:
-        if spec.kind == "conv":
-            (kh, kw), (sh, sw) = spec.kernel, spec.stride
-            if len(shape) != 3 or min(kh, kw, sh, sw) < 1:
-                break
-            count += (kh * kw * shape[2] + 1) * spec.out_channels
-            shape = (
-                _same_padding(shape[0], kh, sh)[0],
-                _same_padding(shape[1], kw, sw)[0],
-                spec.out_channels,
-            )
-        elif spec.kind == "maxpool":
-            kh, kw = spec.kernel
-            if len(shape) != 3 or min(kh, kw) < 1:
-                break
-            shape = (shape[0] // kh, shape[1] // kw, shape[2])
-        elif spec.kind == "dense":
-            count += (math.prod(shape) + 1) * spec.out_units
-            shape = (spec.out_units,)
-    return count
 
 
 class _PayloadReader:

@@ -15,7 +15,7 @@ from botgrid.training import predict as predict_lib
 from botgrid.vocabulary import load_vocabulary
 
 from axml_writer import build_axml, permissions_manifest
-from test_model import POOL1_KERNEL_AND_STRIDE, forge_reference_model
+from test_model import POOL1_KERNEL_AND_STRIDE, flip_conv1_exponent, forge_reference_model
 from zip_writer import build_zip
 
 PLAIN = (
@@ -293,6 +293,17 @@ def test_predict_with_rejected_model_geometry_exits_parse(tmp_path, corpus_dir):
     forge_reference_model(model_path, POOL1_KERNEL_AND_STRIDE, "<4H", 64, 64, 64, 64)
     vocab = tmp_path / "v.txt"
     vocab.write_text("android.permission.INTERNET\n")
+    assert main([
+        "predict", "--model", str(model_path), "--vocab", str(vocab),
+        "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),
+    ]) == 3
+
+
+def test_predict_with_non_finite_model_weight_exits_parse(tmp_path, corpus_dir):
+    model_path = tmp_path / "model.bin"
+    flip_conv1_exponent(model_path)
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("".join(f"android.permission.P{k}\n" for k in range(41)))
     assert main([
         "predict", "--model", str(model_path), "--vocab", str(vocab),
         "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),

@@ -52,12 +52,10 @@ def test_conv_shape_41_to_41x32():
     layer = Conv2D(1, 32, (5, 5), (1, 1), relu=True, dtype=np.float32)
     y = layer.forward(np.zeros((2, 41, 41, 1), np.float32))
     assert y.shape == (2, 41, 41, 32)
-    assert layer.output_shape((41, 41, 1)) == (41, 41, 32)
 
 
 def test_conv_same_padding_with_stride():
     layer = Conv2D(2, 4, (3, 3), (2, 2), relu=False, dtype=np.float64)
-    assert layer.output_shape((7, 8, 2)) == (4, 4, 4)
     y = layer.forward(np.zeros((1, 7, 8, 2)))
     assert y.shape == (1, 4, 4, 4)
 
@@ -188,7 +186,6 @@ def test_maxpool_41_to_20():
     layer = MaxPool2D((2, 2))
     y = layer.forward(np.zeros((3, 41, 41, 32), np.float32))
     assert y.shape == (3, 20, 20, 32)
-    assert layer.output_shape((41, 41, 32)) == (20, 20, 32)
 
 
 def test_maxpool_constant_input():

@@ -1,6 +1,7 @@
 import random
 import struct
 import tracemalloc
+import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -246,6 +247,14 @@ CONV1_CHANNELS = SPECS + 10
 DENSE1_UNITS = SPECS + 8 * 14 + 10
 DENSE2_UNITS = SPECS + 9 * 14 + 10
 POOL1_KERNEL_AND_STRIDE = SPECS + 14 + 2
+# conv1's first stored weight follows the parameter count (4 bytes), its
+# rank (1) and its four dims (16)
+CONV1_FIRST_WEIGHT = SPECS + len(REFERENCE_LAYERS) * 14 + 4 + 1 + 16
+
+
+def with_crc(edited: bytearray) -> bytes:
+    struct.pack_into("<I", edited, len(edited) - 4, zlib.crc32(edited[PAYLOAD:-4]))
+    return bytes(edited)
 
 
 def forge_reference_model(path, offset, fmt, *values) -> bytes:
@@ -253,9 +262,19 @@ def forge_reference_model(path, offset, fmt, *values) -> bytes:
     save_model(build_reference_model(seed=0), path)
     blob = bytearray(path.read_bytes())
     struct.pack_into(fmt, blob, offset, *values)
-    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[PAYLOAD:-4]))
-    path.write_bytes(bytes(blob))
-    return bytes(blob)
+    forged = with_crc(blob)
+    path.write_bytes(forged)
+    return forged
+
+
+def flip_conv1_exponent(path) -> None:
+    """Save a reference model with the exponent MSB (bit 6 of the last
+    little-endian byte) of conv1's first weight flipped, CRC fixed: the
+    weight becomes about 1e307, past float32's range."""
+    save_model(build_reference_model(seed=3), path)
+    blob = bytearray(path.read_bytes())
+    blob[CONV1_FIRST_WEIGHT + 7] ^= 1 << 6
+    path.write_bytes(with_crc(blob))
 
 
 @pytest.mark.parametrize(
@@ -292,16 +311,54 @@ def test_model_with_rejected_geometry_is_a_parse_error(tmp_path):
         load_model(path)
 
 
+def test_model_with_non_finite_weight_is_a_parse_error(tmp_path):
+    path = tmp_path / "model.bin"
+    flip_conv1_exponent(path)
+    with pytest.raises(ChecksumMismatch, match="non-finite"):
+        load_model(path)
+
+
+STRIDED = (
+    LayerSpec("conv", relu=True, kernel=(3, 3), stride=(2, 2), out_channels=3),
+    LayerSpec("maxpool", kernel=(2, 2), stride=(2, 2)),
+    LayerSpec("dense", out_units=2),
+    LayerSpec("softmax"),
+)
+
+
+@pytest.mark.parametrize(
+    "specs, input_shape",
+    [(REFERENCE_LAYERS, (41, 41, 1)), (REDUCED, (9, 9, 1)), (STRIDED, (7, 8, 2))],
+    ids=["reference", "reduced", "strided-7x8"],
+)
+def test_allocation_bound_counts_what_the_model_allocates(tmp_path, specs, input_shape):
+    model = build_model(specs, input_shape, seed=0)
+    x = np.zeros((1, *input_shape), model.dtype)
+    seen = []
+    for layer in model.layers:
+        x = layer.forward(x)
+        seen.append(x.shape[1:])
+    assert model.output_shapes == seen
+
+    # Keep 8 bytes fewer after the spec table than the parameters' values
+    # alone take, fixing the payload length and the CRC.
+    n = sum(p.size for p in model.params())
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    blob = path.read_bytes()
+    cut = bytearray(blob[: SPECS + len(specs) * 14 + 8 * (n - 1)] + bytes(4))
+    struct.pack_into("<Q", cut, PAYLOAD - 8, len(cut) - PAYLOAD - 4)
+    path.write_bytes(with_crc(cut))
+    with pytest.raises(ChecksumMismatch, match=f"imply {n} parameters"):
+        load_model(path)
+
+
 def _fuzzed_model_files(blob: bytes):
     """Hostile variants of a saved model file: truncations through the spec
     table, then single bit flips and byte overwrites with the CRC fixed."""
     spec_end = SPECS + len(REDUCED) * 14
     for cut in range(spec_end + 1):
         yield blob[:cut]
-
-    def with_crc(edited: bytearray) -> bytes:
-        struct.pack_into("<I", edited, len(edited) - 4, zlib.crc32(edited[PAYLOAD:-4]))
-        return bytes(edited)
 
     # every bit of the header and spec table, and a seeded sample of the rest
     later_bits = range(8 * spec_end, 8 * (len(blob) - 4))
@@ -328,8 +385,8 @@ def test_fuzzed_model_file_loads_or_is_a_parse_error(tmp_path):
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             try:
-                # a flipped exponent can take a stored float64 past float32's range
-                with np.errstate(over="ignore"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
                     model = load_model(path)
             except ParseError:
                 model = None
