@@ -45,4 +45,3 @@ from .training import (
     train,
 )
 from .vocabulary import PermissionVocabulary, load_vocabulary, save_vocabulary
-from .xmldoc import ANDROID_NS, ManifestDocument, XmlAttribute, XmlElement

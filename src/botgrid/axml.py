@@ -17,9 +17,9 @@ bounds or allocates proportionally to a forged length field.
 from __future__ import annotations
 
 import struct
+import xml.etree.ElementTree as ET
 
 from .errors import BadMagic, BadStringIndex, TruncatedChunk, UnbalancedElements
-from .xmldoc import ManifestDocument, XmlAttribute, XmlElement
 
 RES_STRING_POOL_TYPE = 0x0001
 RES_XML_TYPE = 0x0003
@@ -167,8 +167,13 @@ def _format_typed_value(data_type: int, data: int, pool: _StringPool) -> str:
     return f"0x{data:08x}"
 
 
-def parse_axml(data: bytes) -> ManifestDocument:
-    """Decode an AXML buffer into the manifest element tree."""
+def parse_axml(data: bytes) -> ET.Element:
+    """Decode an AXML buffer into the manifest's root element.
+
+    Element tags are the bare element names.  Attributes are keyed
+    ElementTree's way, "{namespace}name" or just "name" when the namespace
+    is empty; of attributes with equal keys the first is kept.
+    """
     file_type, header_size, declared = _unpack(_CHUNK_HEADER, data, 0, len(data))
     if file_type != RES_XML_TYPE or header_size != 8:
         raise BadMagic(
@@ -181,8 +186,8 @@ def parse_axml(data: bytes) -> ManifestDocument:
     pos = 8
 
     pool: _StringPool | None = None
-    root: XmlElement | None = None
-    stack: list[XmlElement] = []
+    root: ET.Element | None = None
+    stack: list[ET.Element] = []
     ns_depth = 0
 
     while pos < limit:
@@ -211,7 +216,7 @@ def parse_axml(data: bytes) -> ManifestDocument:
         elif ctype == RES_XML_START_ELEMENT:
             element = _parse_start_element(data, pos, chsize, csize, pool)
             if stack:
-                stack[-1].children.append(element)
+                stack[-1].append(element)
             elif root is None:
                 root = element
             else:
@@ -225,9 +230,9 @@ def parse_axml(data: bytes) -> ManifestDocument:
             if not stack:
                 raise UnbalancedElements(f"end of element {name!r} with no element open")
             opened = stack.pop()
-            if opened.name != name:
+            if opened.tag != name:
                 raise UnbalancedElements(
-                    f"element {opened.name!r} closed by end tag {name!r}"
+                    f"element {opened.tag!r} closed by end tag {name!r}"
                 )
         # Other chunk types (resource map, CDATA, ...) are skipped by their
         # declared length.
@@ -238,12 +243,12 @@ def parse_axml(data: bytes) -> ManifestDocument:
         raise UnbalancedElements(f"{len(stack)} element(s) left open at end of input")
     if root is None:
         raise UnbalancedElements("document contains no element")
-    return ManifestDocument(root)
+    return root
 
 
 def _parse_start_element(
     data: bytes, start: int, header_size: int, chunk_size: int, pool: _StringPool
-) -> XmlElement:
+) -> ET.Element:
     limit = start + chunk_size
     ns_idx, name_idx, attr_start, attr_size, attr_count = _unpack(
         _START_ELEMENT, data, start + header_size, limit
@@ -252,7 +257,7 @@ def _parse_start_element(
     if name_idx == NO_INDEX:
         raise BadStringIndex("element with no name string")
     name = pool.get(name_idx)
-    element = XmlElement(name)
+    element = ET.Element(name)
     if ns_idx != NO_INDEX:
         pool.get(ns_idx)  # validate the reference even though names are unprefixed
 
@@ -274,5 +279,7 @@ def _parse_start_element(
             value = pool.get(a_raw)
         else:
             value = _format_typed_value(a_type, a_data, pool)
-        element.attributes.append(XmlAttribute(namespace, pool.get(a_name), value))
+        attr_name = pool.get(a_name)
+        key = f"{{{namespace}}}{attr_name}" if namespace else attr_name
+        element.attrib.setdefault(key, value)
     return element

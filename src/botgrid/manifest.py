@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from . import axml
 from .apk import MANIFEST_ENTRY, open_apk
 from .errors import MalformedXml, NotAZip
-from .xmldoc import ANDROID_NS, ManifestDocument, XmlAttribute, XmlElement
 
+ANDROID_NS = "http://schemas.android.com/apk/res/android"
 PERMISSION_ELEMENTS = ("uses-permission", "uses-permission-sdk-23")
 
 
@@ -33,58 +33,33 @@ class PermissionSet:
         return permission in self.permissions
 
 
-@dataclass
-class ExtractionStats:
-    """Diagnostics tallied while walking one manifest."""
-
-    elements_seen: int = 0
-    skipped_blank: int = 0
-
-
-def parse_plain_manifest(text: str) -> ManifestDocument:
-    """Parse a decompiled/plaintext manifest into the shared tree shape."""
+def parse_plain_manifest(text: str) -> ET.Element:
+    """Parse a decompiled/plaintext manifest; returns the root element."""
     try:
-        root = ET.fromstring(text)
+        return ET.fromstring(text)
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
-    return ManifestDocument(_convert_etree(root))
 
 
-def _convert_etree(node: ET.Element) -> XmlElement:
-    element = XmlElement(_split_tag(node.tag)[1])
-    for key, value in node.attrib.items():
-        ns, name = _split_tag(key)
-        element.attributes.append(XmlAttribute(ns, name, value))
-    for child in node:
-        element.children.append(_convert_etree(child))
-    return element
+def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
+    """Collect requested permission names from a parsed manifest.
 
-
-def _split_tag(tag: str) -> tuple[str, str]:
-    # ElementTree spells namespaced names as {uri}local.
-    if tag.startswith("{"):
-        uri, _, local = tag[1:].partition("}")
-        return uri, local
-    return "", tag
-
-
-def extract_permissions(
-    doc: ManifestDocument, app_id: str, stats: ExtractionStats | None = None
-) -> PermissionSet:
-    """Collect requested permission names from a parsed manifest."""
-    stats = stats if stats is not None else ExtractionStats()
+    Elements match by local name, whatever their namespace.  The name is
+    android:name, or a bare name only when android:name is absent; blank
+    names are skipped.
+    """
     names: set[str] = set()
-    for element in doc.root.iter():
-        if element.name not in PERMISSION_ELEMENTS:
+    for element in root.iter():
+        tag = element.tag
+        if tag[:1] == "{":  # ElementTree spells namespaced names {uri}local
+            tag = tag.partition("}")[2]
+        if tag not in PERMISSION_ELEMENTS:
             continue
-        stats.elements_seen += 1
-        value = element.attribute("name", ANDROID_NS)
+        value = element.get(f"{{{ANDROID_NS}}}name")
         if value is None:
-            value = element.attribute("name", "")
-        if value is None or not value.strip():
-            stats.skipped_blank += 1
-            continue
-        names.add(value.strip())
+            value = element.get("name")
+        if value is not None and value.strip():
+            names.add(value.strip())
     return PermissionSet(app_id, frozenset(names))
 
 
@@ -105,7 +80,7 @@ def write_permission_list(perms: PermissionSet, path) -> None:
             fh.write(name + "\n")
 
 
-def parse_manifest_bytes(data: bytes) -> ManifestDocument:
+def parse_manifest_bytes(data: bytes) -> ET.Element:
     """Standalone manifest file, binary or plaintext by magic bytes."""
     if axml.is_axml(data):
         return axml.parse_axml(data)

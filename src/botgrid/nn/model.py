@@ -297,6 +297,10 @@ def load_model(path) -> CnnModel:
         if not np.isfinite(loaded).all():
             raise ChecksumMismatch(f"{path}: non-finite parameter values")
         np.copyto(p, loaded)
+    if rd.pos != len(payload):
+        raise ChecksumMismatch(
+            f"{path}: {len(payload) - rd.pos} trailing bytes after the last parameter"
+        )
     return model
 
 

@@ -6,27 +6,22 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 
+B1 = 0.9
+B2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Moment estimates live in the optimizer, shaped like the parameters.
 
-    Update per step t (after t <- t+1):
-        m <- b1*m + (1-b1)*g        mhat = m / (1 - b1^t)
-        v <- b2*v + (1-b2)*g^2      vhat = v / (1 - b2^t)
-        p <- p - lr * mhat / (sqrt(vhat) + eps)
+    Update per step t (after t <- t+1), with B1, B2 and EPS above:
+        m <- B1*m + (1-B1)*g        mhat = m / (1 - B1^t)
+        v <- B2*v + (1-B2)*g^2      vhat = v / (1 - B2^t)
+        p <- p - lr * mhat / (sqrt(vhat) + EPS)
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        b1: float = 0.9,
-        b2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
-        self.b1 = b1
-        self.b2 = b2
-        self.eps = eps
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
@@ -48,18 +43,18 @@ class Adam:
             raise ShapeMismatch("optimizer state does not match parameter list")
 
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        bc1 = 1.0 - B1**self.t
+        bc2 = 1.0 - B2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            # lr * mhat / (sqrt(vhat) + eps), in that order, in two buffers
+            m *= B1
+            m += (1.0 - B1) * g
+            v *= B2
+            v += (1.0 - B2) * (g * g)
+            # lr * mhat / (sqrt(vhat) + EPS), in that order, in two buffers
             step = m / bc1
             step *= self.learning_rate
             denom = v / bc2
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             p -= step

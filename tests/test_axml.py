@@ -1,4 +1,6 @@
 import random
+import struct
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from botgrid.errors import (
     TruncatedChunk,
     UnbalancedElements,
 )
-from botgrid.xmldoc import ANDROID_NS, ManifestDocument, XmlAttribute, XmlElement
+from botgrid.manifest import ANDROID_NS
 
 from axml_writer import (
     ANDROID_URI,
@@ -26,35 +28,85 @@ from axml_writer import (
 )
 
 
-def to_document(tree) -> ManifestDocument:
-    def convert(node):
-        name, attrs, children = node
-        return XmlElement(
-            name,
-            [XmlAttribute(ns, an, av) for ns, an, av in attrs],
-            [convert(c) for c in children],
-        )
+class _TreeMatcher:
+    """Equal to an ET.Element with exactly the tuple tree's structure."""
 
-    return ManifestDocument(convert(tree))
+    def __init__(self, tree):
+        self.tree = tree
+
+    def __eq__(self, element):
+        return _matches(self.tree, element)
+
+    def __repr__(self):
+        return f"to_document({self.tree!r})"
+
+
+def _matches(node, element) -> bool:
+    name, attrs, children = node
+    # The parser keeps the first of attributes with equal keys, so the
+    # expected attributes collapse the same way.
+    expected = {}
+    for ns, an, av in attrs:
+        expected.setdefault(f"{{{ns}}}{an}" if ns else an, av)
+    return (
+        isinstance(element, ET.Element)
+        and element.tag == name
+        and list(element.attrib.items()) == list(expected.items())
+        and len(element) == len(children)
+        and all(_matches(c, e) for c, e in zip(children, element))
+    )
+
+
+def to_document(tree) -> _TreeMatcher:
+    """Strict matcher: tag, attribute keys, values and order, and the count
+    and order of the children."""
+    return _TreeMatcher(tree)
 
 
 def test_internet_permission_manifest():
     tree = permissions_manifest(["android.permission.INTERNET"])
-    doc = parse_axml(build_axml(tree))
-    assert doc.root.name == "manifest"
-    assert len(doc.root.children) == 1
-    child = doc.root.children[0]
-    assert child.name == "uses-permission"
-    assert child.attribute("name", ANDROID_NS) == "android.permission.INTERNET"
+    root = parse_axml(build_axml(tree))
+    assert root.tag == "manifest"
+    assert len(root) == 1
+    child = root[0]
+    assert child.tag == "uses-permission"
+    assert child.get(f"{{{ANDROID_NS}}}name") == "android.permission.INTERNET"
 
 
 def test_utf8_pool_gives_identical_tree():
     tree = permissions_manifest(
         ["android.permission.INTERNET", "android.permission.SEND_SMS"]
     )
-    utf16_doc = parse_axml(build_axml(tree, utf8=False))
-    utf8_doc = parse_axml(build_axml(tree, utf8=True))
-    assert utf16_doc == utf8_doc == to_document(tree)
+    assert parse_axml(build_axml(tree, utf8=False)) == to_document(tree)
+    assert parse_axml(build_axml(tree, utf8=True)) == to_document(tree)
+
+
+def test_matcher_is_strict():
+    tree = ("manifest", [("", "a", "1"), (ANDROID_URI, "b", "2")], [("x", [], [])])
+    assert parse_axml(build_axml(tree)) == to_document(tree)
+    for other in [
+        ("manifesto", [("", "a", "1"), (ANDROID_URI, "b", "2")], [("x", [], [])]),
+        ("manifest", [(ANDROID_URI, "b", "2"), ("", "a", "1")], [("x", [], [])]),
+        ("manifest", [("", "a", "1"), ("", "b", "2")], [("x", [], [])]),
+        ("manifest", [("", "a", "1"), (ANDROID_URI, "b", "3")], [("x", [], [])]),
+        ("manifest", [("", "a", "1")], [("x", [], [])]),
+        ("manifest", [("", "a", "1"), (ANDROID_URI, "b", "2")], []),
+        ("manifest", [("", "a", "1"), (ANDROID_URI, "b", "2")], [("x", [], [])] * 2),
+        ("manifest", [("", "a", "1"), (ANDROID_URI, "b", "2")], [("y", [], [])]),
+    ]:
+        assert parse_axml(build_axml(tree)) != to_document(other)
+
+
+def test_repeated_attribute_key_keeps_first_and_checks_the_rest():
+    tree = ("manifest", [("", "label", "first"), ("", "label", "second")], [])
+    blob = bytearray(build_axml(tree))
+    assert parse_axml(bytes(blob)).attrib == {"label": "first"}
+    # The second record's raw value index: the start-element chunk's 16-byte
+    # header, its 20-byte body, one 20-byte record, then namespace and name.
+    at = blob.find(b"\x02\x01\x10\x00") + 16 + 20 + 20 + 8
+    struct.pack_into("<I", blob, at, 9999)
+    with pytest.raises(BadStringIndex):
+        parse_axml(bytes(blob))
 
 
 def test_four_byte_input_truncated():
@@ -76,8 +128,7 @@ def test_resource_map_is_skipped():
 def test_non_ascii_strings_survive():
     tree = ("manifest", [("", "label", "приложение ☂")], [])
     for utf8 in (False, True):
-        doc = parse_axml(build_axml(tree, utf8=utf8))
-        assert doc.root.attribute("label") == "приложение ☂"
+        assert parse_axml(build_axml(tree, utf8=utf8)).get("label") == "приложение ☂"
 
 
 @pytest.mark.parametrize(
@@ -99,8 +150,8 @@ def test_non_ascii_strings_survive():
 @pytest.mark.parametrize("utf8", [False, True], ids=["utf16", "utf8"])
 def test_typed_attribute_values(typed, text, utf8):
     tree = ("manifest", [(ANDROID_URI, "versionCode", typed)], [])
-    doc = parse_axml(build_axml(tree, utf8=utf8))
-    assert doc.root.attribute("versionCode", ANDROID_NS) == text
+    root = parse_axml(build_axml(tree, utf8=utf8))
+    assert root.get(f"{{{ANDROID_NS}}}versionCode") == text
 
 
 def test_declared_size_beyond_buffer():
@@ -113,8 +164,6 @@ def test_unbalanced_when_end_tag_missing():
     blob = bytearray(build_axml(("manifest", [], [])))
     # Chop the trailing end-namespace and end-element chunks, fixing up
     # the declared file size so truncation is not the failure mode.
-    import struct
-
     struct.pack_into("<I", blob, 4, len(blob) - 48)
     with pytest.raises(UnbalancedElements):
         parse_axml(bytes(blob[:-48]))
@@ -124,8 +173,6 @@ def test_bad_string_index():
     blob = bytearray(build_axml(("manifest", [], [])))
     # Point the root element's name index far out of the pool.
     at = blob.find(b"\x02\x01\x10\x00")  # start-element chunk header
-    import struct
-
     struct.pack_into("<I", blob, at + 20, 9999)
     with pytest.raises(BadStringIndex):
         parse_axml(bytes(blob))

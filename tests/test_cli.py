@@ -15,7 +15,13 @@ from botgrid.training import predict as predict_lib
 from botgrid.vocabulary import load_vocabulary
 
 from axml_writer import build_axml, permissions_manifest
-from test_model import POOL1_KERNEL_AND_STRIDE, flip_conv1_exponent, forge_reference_model
+from test_manifest import deep_manifest
+from test_model import (
+    POOL1_KERNEL_AND_STRIDE,
+    flip_conv1_exponent,
+    forge_reference_model,
+    save_reduced_with_trailing_bytes,
+)
 from zip_writer import build_zip
 
 PLAIN = (
@@ -51,6 +57,13 @@ def test_extract_golden_output(tmp_path, capsys):
     assert main(["extract", str(manifest)]) == 0
     printed = capsys.readouterr().out
     assert printed == "android.permission.INTERNET\nandroid.permission.SEND_SMS\n"
+
+
+def test_extract_deeply_nested_manifest(tmp_path, capsys):
+    manifest = tmp_path / "deep.xml"
+    manifest.write_text(deep_manifest(5000))
+    assert main(["extract", str(manifest)]) == 0
+    assert capsys.readouterr().out == "android.permission.DEEP\n"
 
 
 def test_extract_from_apk(tmp_path):
@@ -304,6 +317,17 @@ def test_predict_with_non_finite_model_weight_exits_parse(tmp_path, corpus_dir):
     flip_conv1_exponent(model_path)
     vocab = tmp_path / "v.txt"
     vocab.write_text("".join(f"android.permission.P{k}\n" for k in range(41)))
+    assert main([
+        "predict", "--model", str(model_path), "--vocab", str(vocab),
+        "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),
+    ]) == 3
+
+
+def test_predict_with_trailing_model_bytes_exits_parse(tmp_path, corpus_dir):
+    model_path = tmp_path / "model.bin"
+    save_reduced_with_trailing_bytes(model_path)
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("".join(f"android.permission.P{k}\n" for k in range(9)))
     assert main([
         "predict", "--model", str(model_path), "--vocab", str(vocab),
         "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),

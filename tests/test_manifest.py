@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from botgrid.dataset import ManifestRecord, extract_corpus
 from botgrid.errors import MalformedXml
 from botgrid.manifest import (
-    ExtractionStats,
+    ANDROID_NS,
     extract_permissions,
     parse_manifest_bytes,
     parse_permission_list,
@@ -13,9 +16,9 @@ from botgrid.manifest import (
     write_permission_list,
 )
 from botgrid.axml import parse_axml
-from botgrid.xmldoc import ANDROID_NS
 
-from axml_writer import build_axml, permissions_manifest
+from axml_writer import ANDROID_URI, build_axml, permissions_manifest
+from test_axml import random_tree
 from zip_writer import build_zip
 
 PLAIN = """<manifest xmlns:android="http://schemas.android.com/apk/res/android"
@@ -28,9 +31,9 @@ PLAIN = """<manifest xmlns:android="http://schemas.android.com/apk/res/android"
 
 
 def test_empty_manifest():
-    doc = parse_plain_manifest("<manifest/>")
-    assert doc.root.name == "manifest"
-    assert doc.root.children == []
+    root = parse_plain_manifest("<manifest/>")
+    assert root.tag == "manifest"
+    assert len(root) == 0
 
 
 def test_parser_preserves_duplicates():
@@ -40,8 +43,8 @@ def test_parser_preserves_duplicates():
         '<uses-permission android:name="android.permission.INTERNET"/>'
         "</manifest>"
     )
-    doc = parse_plain_manifest(text)
-    assert len(doc.root.children) == 2  # dedup happens in extraction, not parsing
+    root = parse_plain_manifest(text)
+    assert len(root) == 2  # dedup happens in extraction, not parsing
 
 
 def test_sdk23_element_name_passthrough():
@@ -50,9 +53,9 @@ def test_sdk23_element_name_passthrough():
         '<uses-permission-sdk-23 android:name="android.permission.CAMERA"/>'
         "</manifest>"
     )
-    doc = parse_plain_manifest(text)
-    assert doc.root.children[0].name == "uses-permission-sdk-23"
-    perms = extract_permissions(doc, "x")
+    root = parse_plain_manifest(text)
+    assert root[0].tag == "uses-permission-sdk-23"
+    perms = extract_permissions(root, "x")
     assert perms.permissions == frozenset({"android.permission.CAMERA"})
 
 
@@ -92,11 +95,70 @@ def test_blank_names_skipped_and_tallied():
         '<uses-permission android:name="android.permission.NFC"/>'
         "</manifest>"
     )
-    stats = ExtractionStats()
-    perms = extract_permissions(parse_plain_manifest(text), "x", stats)
+    perms = extract_permissions(parse_plain_manifest(text), "x")
     assert perms.permissions == frozenset({"android.permission.NFC"})
-    assert stats.elements_seen == 3
-    assert stats.skipped_blank == 2
+
+
+def deep_manifest(depth: int) -> str:
+    """A well-formed plaintext manifest whose one permission sits depth
+    elements below the root."""
+    return (
+        '<manifest xmlns:android="http://schemas.android.com/apk/res/android">'
+        + "<a>" * depth
+        + '<uses-permission android:name="android.permission.DEEP"/>'
+        + "</a>" * depth
+        + "</manifest>"
+    )
+
+
+def test_deeply_nested_manifest_is_read(tmp_path):
+    deep = tmp_path / "deep.xml"
+    deep.write_text(deep_manifest(5000))
+    good = tmp_path / "good.xml"
+    good.write_text(PLAIN)
+    assert read_permissions(deep, "manifest").permissions == {"android.permission.DEEP"}
+    corpus = extract_corpus([
+        ManifestRecord(str(deep), "botnet", "manifest"),
+        ManifestRecord(str(good), "benign", "manifest"),
+    ])
+    assert corpus.failures == []
+    assert [len(ps) for ps in corpus.perm_sets] == [1, 2]
+
+
+def _expected_permissions(tree) -> set[str]:
+    """The documented extraction rules, applied to a tuple tree: the
+    uses-permission and uses-permission-sdk-23 elements at any depth, named
+    by their first android:name, else by their first bare name, with blank
+    names skipped."""
+    name, attrs, children = tree
+    found = set()
+    if name in ("uses-permission", "uses-permission-sdk-23"):
+        values = [v for ns, an, v in attrs if (ns, an) == (ANDROID_URI, "name")]
+        values = values or [v for ns, an, v in attrs if (ns, an) == ("", "name")]
+        if values and values[0].strip():
+            found.add(values[0].strip())
+    for child in children:
+        found |= _expected_permissions(child)
+    return found
+
+
+def _with_sdk23(tree):
+    name, attrs, children = tree
+    name = "uses-permission-sdk-23" if name == "meta-data" else name
+    return (name, attrs, [_with_sdk23(c) for c in children])
+
+
+def test_extraction_follows_the_documented_rules():
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(500):
+        tree = _with_sdk23(random_tree(rng))
+        expected = _expected_permissions(tree)
+        for utf8 in (False, True):
+            root = parse_axml(build_axml(tree, utf8=utf8))
+            assert extract_permissions(root, "x").permissions == expected
+        found += len(expected)
+    assert found > 0
 
 
 def test_custom_permission_names_kept_verbatim():
@@ -183,9 +245,9 @@ def test_read_permissions_dispatch(tmp_path):
 
 def test_manifest_bytes_sniffs_binary_vs_text():
     axml_blob = build_axml(permissions_manifest(["p.x"]))
-    assert parse_manifest_bytes(axml_blob).root.name == "manifest"
-    assert parse_manifest_bytes(PLAIN.encode()).root.name == "manifest"
-    assert parse_manifest_bytes("<manifest/>".encode("utf-8-sig")).root.name == "manifest"
+    assert parse_manifest_bytes(axml_blob).tag == "manifest"
+    assert parse_manifest_bytes(PLAIN.encode()).tag == "manifest"
+    assert parse_manifest_bytes("<manifest/>".encode("utf-8-sig")).tag == "manifest"
 
 
 def test_android_namespace_required_for_name():

@@ -257,6 +257,19 @@ def with_crc(edited: bytearray) -> bytes:
     return bytes(edited)
 
 
+def with_trailing_bytes(blob: bytes, extra: bytes) -> bytes:
+    """A saved model file with extra bytes after its last parameter, the
+    payload length and the CRC fixed."""
+    edited = bytearray(blob[:-4] + extra + bytes(4))
+    struct.pack_into("<Q", edited, PAYLOAD - 8, len(edited) - PAYLOAD - 4)
+    return with_crc(edited)
+
+
+def save_reduced_with_trailing_bytes(path) -> None:
+    save_model(build_model(REDUCED, (9, 9, 1), seed=21), path)
+    path.write_bytes(with_trailing_bytes(path.read_bytes(), bytes(8)))
+
+
 def forge_reference_model(path, offset, fmt, *values) -> bytes:
     """Save a reference model, overwrite values at offset, fix the CRC."""
     save_model(build_reference_model(seed=0), path)
@@ -318,6 +331,13 @@ def test_model_with_non_finite_weight_is_a_parse_error(tmp_path):
         load_model(path)
 
 
+def test_model_with_trailing_payload_bytes_is_a_parse_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_reduced_with_trailing_bytes(path)
+    with pytest.raises(ChecksumMismatch, match="8 trailing bytes"):
+        load_model(path)
+
+
 STRIDED = (
     LayerSpec("conv", relu=True, kernel=(3, 3), stride=(2, 2), out_channels=3),
     LayerSpec("maxpool", kernel=(2, 2), stride=(2, 2)),
@@ -355,7 +375,8 @@ def test_allocation_bound_counts_what_the_model_allocates(tmp_path, specs, input
 
 def _fuzzed_model_files(blob: bytes):
     """Hostile variants of a saved model file: truncations through the spec
-    table, then single bit flips and byte overwrites with the CRC fixed."""
+    table, then single bit flips and byte overwrites with the CRC fixed, then
+    bytes appended to the payload with its length and the CRC fixed."""
     spec_end = SPECS + len(REDUCED) * 14
     for cut in range(spec_end + 1):
         yield blob[:cut]
@@ -371,6 +392,8 @@ def _fuzzed_model_files(blob: bytes):
             edited = bytearray(blob)
             edited[at] = value
             yield with_crc(edited)
+    for n in (1, 4, 8, 9, 64):
+        yield with_trailing_bytes(blob, bytes(range(n)))
 
 
 def test_fuzzed_model_file_loads_or_is_a_parse_error(tmp_path):
