@@ -18,7 +18,7 @@ from . import __version__
 from .dataset import encode_corpus, label_index, load_dataset_manifest
 from .encoder import dump_pgm, encode
 from .errors import BotgridError, NonFiniteLoss, ParseError
-from .manifest import read_permissions, sniff_kind, write_permission_list
+from .manifest import KINDS, read_permissions, sniff_kind, write_permission_list
 from .nn.model import load_model, save_model
 from .synth import SynthSpec, generate_synthetic_corpus
 from .training import (
@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract permissions from an APK or manifest")
     p.add_argument("input", help="APK or manifest file (binary or plaintext)")
-    p.add_argument("--kind", choices=("apk", "manifest", "permlist"), default=None)
+    p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--out", help="permission-list output path (default: stdout)")
 
     p = sub.add_parser("vocab", help="build the top-n permission vocabulary from a corpus")
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("encode", help="encode one sample as a co-occurrence image")
     p.add_argument("sample")
-    p.add_argument("--kind", choices=("apk", "manifest", "permlist"), default=None)
+    p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="PGM output path")
 
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="classify one sample")
     p.add_argument("sample")
-    p.add_argument("--kind", choices=("apk", "manifest", "permlist"), default=None)
+    p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
 

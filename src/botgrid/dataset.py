@@ -16,11 +16,10 @@ import numpy as np
 
 from .encoder import encode, normalize, out_of_vocabulary
 from .errors import AllSamplesFailed, BotgridError, EmptyDataset, ManifestCsvError
-from .manifest import PermissionSet, read_permissions
+from .manifest import KINDS, PermissionSet, read_permissions
 from .vocabulary import PermissionVocabulary
 
 LABELS = ("benign", "botnet")  # class index order; botnet = positive class
-KINDS = ("apk", "manifest", "permlist")
 
 CSV_HEADER = ["path", "label", "kind"]
 
@@ -38,7 +37,7 @@ def label_index(label: str) -> int:
 
 def load_dataset_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows or rows[0] != CSV_HEADER:
@@ -79,9 +78,6 @@ class ExtractedCorpus:
     labels: list[str]
     paths: list[str]
     failures: list[tuple[str, str]]  # (path, reason)
-
-    def __len__(self) -> int:
-        return len(self.perm_sets)
 
 
 def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:

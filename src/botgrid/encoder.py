@@ -31,14 +31,6 @@ class CoOccurrenceImage:
     def zero_count(self) -> int:
         return int(np.count_nonzero(self.pixels == PRESENT))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoOccurrenceImage) and np.array_equal(
-            self.pixels, other.pixels
-        )
-
-    def __repr__(self) -> str:
-        return f"CoOccurrenceImage(n={self.n}, zeros={self.zero_count()})"
-
 
 def encode(perms: PermissionSet, vocab: PermissionVocabulary) -> CoOccurrenceImage:
     """Permissions outside the vocabulary are ignored."""

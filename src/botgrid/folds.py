@@ -17,9 +17,7 @@ from .errors import TooFewSamples
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
     assignments: tuple[int, ...]  # fold index per record
-    seed: int
 
     def split(self, fold: int) -> tuple[list[int], list[int]]:
         """(train indices, test indices) for one held-out fold."""
@@ -51,4 +49,4 @@ def make_folds(labels: Sequence[str], k: int, seed: int) -> FoldPlan:
         for pos, idx in enumerate(members):
             assignments[int(idx)] = (offset + pos) % k
         offset += len(members)
-    return FoldPlan(k, tuple(assignments), seed)
+    return FoldPlan(tuple(assignments))

@@ -17,6 +17,7 @@ from .errors import MalformedXml, NotAZip
 
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
 PERMISSION_ELEMENTS = ("uses-permission", "uses-permission-sdk-23")
+KINDS = ("apk", "manifest", "permlist")  # the declared source kinds
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,6 @@ class PermissionSet:
 
     app_id: str
     permissions: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.permissions)
 
     def __contains__(self, permission: str) -> bool:
         return permission in self.permissions
@@ -45,8 +43,11 @@ def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
     """Collect requested permission names from a parsed manifest.
 
     Elements match by local name, whatever their namespace.  The name is
-    android:name, or a bare name only when android:name is absent; blank
-    names are skipped.
+    android:name, or a bare name only when android:name is absent, with
+    surrounding whitespace stripped.  A name that a one-per-line file could
+    not hold is skipped: a blank one, one starting with #, and one holding
+    a line break as str.splitlines counts them (\\n, \\r, U+2028 ...).  So
+    every kept name survives a permission-list or vocabulary file.
     """
     names: set[str] = set()
     for element in root.iter():
@@ -58,8 +59,11 @@ def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
         value = element.get(f"{{{ANDROID_NS}}}name")
         if value is None:
             value = element.get("name")
-        if value is not None and value.strip():
-            names.add(value.strip())
+        if value is None:
+            continue
+        value = value.strip()
+        if value and not value.startswith("#") and value.splitlines() == [value]:
+            names.add(value)
     return PermissionSet(app_id, frozenset(names))
 
 
@@ -91,39 +95,22 @@ def parse_manifest_bytes(data: bytes) -> ET.Element:
     return parse_plain_manifest(text)
 
 
-def permissions_from_apk(path) -> PermissionSet:
-    archive = open_apk(path)
-    if MANIFEST_ENTRY not in archive:
-        raise NotAZip(f"{path}: archive has no {MANIFEST_ENTRY} entry")
-    doc = parse_manifest_bytes(archive.read(MANIFEST_ENTRY))
-    return extract_permissions(doc, str(path))
-
-
-def permissions_from_manifest(path) -> PermissionSet:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return extract_permissions(parse_manifest_bytes(data), str(path))
-
-
-def permissions_from_permlist(path) -> PermissionSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_permission_list(fh.read(), str(path))
-
-
-_READERS = {
-    "apk": permissions_from_apk,
-    "manifest": permissions_from_manifest,
-    "permlist": permissions_from_permlist,
-}
-
-
 def read_permissions(path, kind: str) -> PermissionSet:
-    """Dispatch on the declared source kind: apk, manifest, or permlist."""
-    try:
-        reader = _READERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown source kind {kind!r}, expected one of {sorted(_READERS)}")
-    return reader(path)
+    """Read one sample of a declared source kind: apk, manifest, or permlist."""
+    if kind == "apk":
+        archive = open_apk(path)
+        if MANIFEST_ENTRY not in archive:
+            raise NotAZip(f"{path}: archive has no {MANIFEST_ENTRY} entry")
+        data = archive.read(MANIFEST_ENTRY)
+    elif kind == "manifest":
+        with open(path, "rb") as fh:
+            data = fh.read()
+    elif kind == "permlist":
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse_permission_list(fh.read(), str(path))
+    else:
+        raise ValueError(f"unknown source kind {kind!r}, expected one of {list(KINDS)}")
+    return extract_permissions(parse_manifest_bytes(data), str(path))
 
 
 def sniff_kind(path) -> str:

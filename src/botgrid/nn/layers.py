@@ -130,17 +130,13 @@ class Conv2D:
 
 
 class MaxPool2D:
-    """Non-overlapping max pooling; trailing rows/columns that do not
-    fill a window are dropped (floor semantics)."""
+    """Non-overlapping max pooling (the stride is the kernel); trailing
+    rows/columns that do not fill a window are dropped (floor semantics)."""
 
-    def __init__(self, kernel: tuple[int, int] = (2, 2), stride: tuple[int, int] | None = None):
-        stride = tuple(stride) if stride is not None else tuple(kernel)
-        if tuple(kernel) != stride:
-            raise ShapeMismatch(f"pooling requires stride == kernel, got {kernel} / {stride}")
+    def __init__(self, kernel: tuple[int, int] = (2, 2)):
         if kernel[0] < 1 or kernel[1] < 1:
             raise ShapeMismatch(f"invalid pooling kernel {kernel}")
         self.kernel = tuple(kernel)
-        self.stride = stride
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:

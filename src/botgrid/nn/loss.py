@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyBatch
+from ..errors import EmptyBatch, ShapeMismatch
 
 # Probabilities are clamped away from {0, 1} before the logarithms so a
 # saturated output cannot produce an infinite loss.
@@ -30,7 +30,7 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> LossValue:
     if probs.size == 0:
         raise EmptyBatch("bce_loss needs at least one sample")
     if probs.shape != labels.shape:
-        raise EmptyBatch(f"probs shape {probs.shape} != labels shape {labels.shape}")
+        raise ShapeMismatch(f"probs shape {probs.shape} != labels shape {labels.shape}")
     p = np.clip(probs, CLAMP_EPS, 1.0 - CLAMP_EPS)
     y = labels.astype(p.dtype)
     n = p.shape[0]

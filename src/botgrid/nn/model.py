@@ -101,7 +101,7 @@ class CnnModel:
                     relu=spec.relu, rng=rng, dtype=self.dtype,
                 )
             elif spec.kind == "maxpool":
-                layer = MaxPool2D(spec.kernel, spec.stride)
+                layer = MaxPool2D(spec.kernel)  # _layer_shapes checked stride == kernel
             elif spec.kind == "dense":
                 layer = Dense(
                     math.prod(shape), spec.out_units,
@@ -122,11 +122,13 @@ class CnnModel:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_output: np.ndarray, need_input_grad: bool = False) -> np.ndarray | None:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
+        """Store every layer's parameter gradients.  Returns the input
+        gradient, or None when the first layer is a Conv2D: nothing reads
+        the gradient of the input images, so that layer skips it."""
         g = grad_output
-        for position, layer in enumerate(reversed(self.layers)):
-            at_input = position == len(self.layers) - 1
-            if at_input and not need_input_grad and isinstance(layer, Conv2D):
+        for layer in reversed(self.layers):
+            if layer is self.layers[0] and isinstance(layer, Conv2D):
                 layer.backward(g, need_input_grad=False)
                 return None
             g = layer.backward(g)

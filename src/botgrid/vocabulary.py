@@ -42,7 +42,7 @@ def save_vocabulary(vocab: PermissionVocabulary, path) -> None:
 
 def load_vocabulary(path) -> PermissionVocabulary:
     """Inverse of save_vocabulary: line order is index order."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     names: list[str] = []
     seen: set[str] = set()

@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import asdict
 
@@ -6,8 +7,9 @@ import pytest
 from botgrid import training
 from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode
-from botgrid.errors import NonFiniteLoss
-from botgrid.manifest import read_permissions
+from botgrid.dataset import load_dataset_manifest
+from botgrid.errors import ManifestCsvError, NonFiniteLoss
+from botgrid.manifest import KINDS, read_permissions
 from botgrid.nn.model import load_model
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import TrainConfig
@@ -201,6 +203,26 @@ def test_every_training_flag_reaches_its_field():
     defaults = asdict(TrainConfig())
     assert all(defaults[field] != value for field, value in expected.items())
     assert asdict(_load_config(_build_parser().parse_args(argv))) == {**defaults, **expected}
+
+
+def test_one_list_of_input_kinds(tmp_path):
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command in ("extract", "encode", "predict"):
+        kind = next(a for a in subparsers.choices[command]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == KINDS
+    csv = tmp_path / "data.csv"
+    csv.write_text("path,label,kind\n" + "".join(f"{k}.x,benign,{k}\n" for k in KINDS))
+    assert [r.kind for r in load_dataset_manifest(csv)] == list(KINDS)
+    csv.write_text("path,label,kind\na.x,benign,dex\n")
+    with pytest.raises(ManifestCsvError, match="unknown kind 'dex'"):
+        load_dataset_manifest(csv)
+    with pytest.raises(ValueError) as exc:
+        read_permissions(csv, "dex")
+    assert str(exc.value) == (
+        "unknown source kind 'dex', expected one of ['apk', 'manifest', 'permlist']"
+    )
 
 
 def test_cv_with_one_fold_is_a_usage_error(corpus_dir, capsys):

@@ -38,6 +38,14 @@ def test_csv_round_trip(tmp_path):
     assert loaded[0].path == str(tmp_path / "a.txt")
 
 
+def test_csv_with_bom(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes("path,label,kind\na.txt,benign,permlist\n".encode("utf-8-sig"))
+    assert load_dataset_manifest(path) == [
+        ManifestRecord(str(tmp_path / "a.txt"), "benign", "permlist")
+    ]
+
+
 def test_csv_rejects_bad_rows(tmp_path):
     with pytest.raises(ManifestCsvError):
         load_dataset_manifest(make_manifest(tmp_path, [("x.txt", "weird", "permlist")]))
@@ -172,7 +180,7 @@ def test_synth_botnet_uses_more_permissions(tmp_path):
     records = generate_synthetic_corpus(spec, tmp_path)
     sizes = {"botnet": [], "benign": []}
     for record in records:
-        sizes[record.label].append(len(read_permissions(record.path, record.kind)))
+        sizes[record.label].append(len(read_permissions(record.path, record.kind).permissions))
     assert np.mean(sizes["botnet"]) > np.mean(sizes["benign"])
 
 
@@ -191,5 +199,5 @@ def test_synth_manifest_loads_back(tmp_path):
     records = load_dataset_manifest(tmp_path / "c" / "data.csv")
     assert len(records) == 10
     corpus = extract_corpus(records)
-    assert len(corpus) == 10
+    assert len(corpus.perm_sets) == 10
     assert corpus.failures == []

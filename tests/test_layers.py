@@ -3,6 +3,7 @@ import pytest
 
 from botgrid.errors import ShapeMismatch
 from botgrid.nn.layers import Conv2D, Dense, MaxPool2D, Softmax
+from botgrid.nn.model import LayerSpec, build_model
 
 RTOL = 1e-4
 FD_H = 1e-5
@@ -278,8 +279,9 @@ def test_maxpool_input_too_small():
 
 
 def test_maxpool_requires_stride_equal_kernel():
-    with pytest.raises(ShapeMismatch):
-        MaxPool2D((2, 2), (1, 1))
+    spec = LayerSpec("maxpool", kernel=(2, 2), stride=(1, 1))
+    with pytest.raises(ShapeMismatch, match="pooling requires stride == kernel"):
+        build_model([spec], (4, 4, 1))
 
 
 # --- Dense ---

@@ -77,6 +77,11 @@ def test_empty_batch():
         bce_loss(np.array([]), np.array([]))
 
 
+def test_bce_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match=r"probs shape \(2,\) != labels shape \(1,\)"):
+        bce_loss(np.array([0.5, 0.5]), np.array([1]))
+
+
 def test_dtype_preserved():
     loss = bce_loss(np.array([0.3], dtype=np.float32), np.array([1]))
     assert loss.gradient.dtype == np.float32

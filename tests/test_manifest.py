@@ -99,6 +99,24 @@ def test_blank_names_skipped_and_tallied():
     assert perms.permissions == frozenset({"android.permission.NFC"})
 
 
+def test_names_a_line_file_cannot_hold_are_skipped():
+    # &#10; survives attribute normalization as a line feed; U+2028 is a
+    # line break to str.splitlines; AXML strings hold any character.
+    text = (
+        '<manifest xmlns:android="http://schemas.android.com/apk/res/android">'
+        '<uses-permission android:name="#evil"/>'
+        '<uses-permission android:name="a&#10;b"/>'
+        '<uses-permission android:name="c\u2028d"/>'
+        '<uses-permission android:name=" android.permission.NFC&#10;"/>'
+        "</manifest>"
+    )
+    perms = extract_permissions(parse_plain_manifest(text), "x")
+    assert perms.permissions == frozenset({"android.permission.NFC"})
+    tree = permissions_manifest(["# comment", "e\rf", "g\x85h", "android.permission.NFC"])
+    perms = extract_permissions(parse_axml(build_axml(tree)), "x")
+    assert perms.permissions == frozenset({"android.permission.NFC"})
+
+
 def deep_manifest(depth: int) -> str:
     """A well-formed plaintext manifest whose one permission sits depth
     elements below the root."""
@@ -122,21 +140,23 @@ def test_deeply_nested_manifest_is_read(tmp_path):
         ManifestRecord(str(good), "benign", "manifest"),
     ])
     assert corpus.failures == []
-    assert [len(ps) for ps in corpus.perm_sets] == [1, 2]
+    assert [len(ps.permissions) for ps in corpus.perm_sets] == [1, 2]
 
 
 def _expected_permissions(tree) -> set[str]:
     """The documented extraction rules, applied to a tuple tree: the
     uses-permission and uses-permission-sdk-23 elements at any depth, named
-    by their first android:name, else by their first bare name, with blank
-    names skipped."""
+    by their first android:name, else by their first bare name, stripped,
+    with blank names, names starting with # and names holding a line break
+    skipped."""
     name, attrs, children = tree
     found = set()
     if name in ("uses-permission", "uses-permission-sdk-23"):
         values = [v for ns, an, v in attrs if (ns, an) == (ANDROID_URI, "name")]
         values = values or [v for ns, an, v in attrs if (ns, an) == ("", "name")]
-        if values and values[0].strip():
-            found.add(values[0].strip())
+        value = values[0].strip() if values else ""
+        if value and not value.startswith("#") and len(value.splitlines()) == 1:
+            found.add(value)
     for child in children:
         found |= _expected_permissions(child)
     return found
@@ -218,6 +238,15 @@ def test_permission_list_round_trip(tmp_path):
     assert out.read_text() == "a.perm\nb.perm\n"
     again = read_permissions(out, "permlist")
     assert again.permissions == perms.permissions
+
+
+def test_permission_list_with_bom(tmp_path):
+    path = tmp_path / "perms.txt"
+    path.write_bytes("android.permission.INTERNET\nandroid.permission.NFC\n".encode("utf-8-sig"))
+    assert read_permissions(path, "permlist").permissions == {
+        "android.permission.INTERNET",
+        "android.permission.NFC",
+    }
 
 
 def test_read_permissions_dispatch(tmp_path):

@@ -17,7 +17,7 @@ from botgrid.errors import (
     TruncatedChunk,
     VersionMismatch,
 )
-from botgrid.nn import (
+from botgrid.nn.model import (
     CnnModel,
     LayerSpec,
     REFERENCE_LAYERS,

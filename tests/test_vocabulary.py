@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from botgrid.axml import parse_axml
 from botgrid.errors import DuplicateEntry, EmptyCorpus, EmptyFile
-from botgrid.manifest import PermissionSet
+from botgrid.manifest import PermissionSet, extract_permissions, parse_plain_manifest
 from botgrid.training import build_fold_vocabulary
 from botgrid.vocabulary import PermissionVocabulary, load_vocabulary, save_vocabulary
+
+from axml_writer import build_axml, permissions_manifest
 
 
 def rank(botnet_sets, benign_sets, n):
@@ -140,3 +143,31 @@ def test_load_empty_file(tmp_path):
     path.write_text("# nothing but comments\n\n")
     with pytest.raises(EmptyFile):
         load_vocabulary(path)
+
+
+def test_vocabulary_file_with_bom(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("android.permission.INTERNET\nandroid.permission.NFC\n".encode("utf-8-sig"))
+    assert load_vocabulary(path).permissions == (
+        "android.permission.INTERNET",
+        "android.permission.NFC",
+    )
+
+
+def test_extracted_vocabulary_survives_its_file(tmp_path):
+    odd = ["#evil", "a\nb", "c\u2028d", "android.permission.INTERNET"]
+    plain = parse_plain_manifest(
+        '<manifest xmlns:android="http://schemas.android.com/apk/res/android">'
+        '<uses-permission android:name="#evil"/>'
+        '<uses-permission android:name="a&#10;b"/>'
+        '<uses-permission android:name="c\u2028d"/>'
+        '<uses-permission android:name="android.permission.INTERNET"/>'
+        "</manifest>"
+    )
+    perm_sets = [
+        extract_permissions(parse_axml(build_axml(permissions_manifest(odd))), "bot"),
+        extract_permissions(plain, "ben"),
+    ]
+    vocab = build_fold_vocabulary(perm_sets, ["botnet", "benign"], 41)
+    save_vocabulary(vocab, tmp_path / "vocab.txt")
+    assert load_vocabulary(tmp_path / "vocab.txt") == vocab
