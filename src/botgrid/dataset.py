@@ -9,6 +9,7 @@ fatal; only a corpus with zero readable samples aborts the run.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .encoder import encode, normalize, out_of_vocabulary
 from .errors import AllSamplesFailed, BotgridError, EmptyDataset, ManifestCsvError
-from .manifest import KINDS, PermissionSet, read_permissions
+from .manifest import KINDS, PermissionSet, read_permissions, read_text
 from .vocabulary import PermissionVocabulary
 
 LABELS = ("benign", "botnet")  # class index order; botnet = positive class
@@ -37,9 +38,7 @@ def label_index(label: str) -> int:
 
 def load_dataset_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows or rows[0] != CSV_HEADER:
         raise ManifestCsvError(f"{path}: expected header {','.join(CSV_HEADER)}")
     records: list[ManifestRecord] = []

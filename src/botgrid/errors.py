@@ -71,6 +71,10 @@ class ManifestCsvError(ParseError):
     pass
 
 
+class NotUtf8(ParseError):
+    """A permission list, vocabulary or dataset CSV is not UTF-8 text."""
+
+
 # --- NN engine ---
 
 class ShapeMismatch(BotgridError):

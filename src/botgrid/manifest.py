@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import axml
 from .apk import MANIFEST_ENTRY, open_apk
-from .errors import MalformedXml, NotAZip
+from .errors import MalformedXml, NotAZip, NotUtf8
 
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
 PERMISSION_ELEMENTS = ("uses-permission", "uses-permission-sdk-23")
@@ -78,6 +78,16 @@ def parse_permission_list(text: str, app_id: str) -> PermissionSet:
     return PermissionSet(app_id, frozenset(names))
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents, without a leading BOM."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def write_permission_list(perms: PermissionSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name in sorted(perms.permissions):
@@ -106,8 +116,7 @@ def read_permissions(path, kind: str) -> PermissionSet:
         with open(path, "rb") as fh:
             data = fh.read()
     elif kind == "permlist":
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return parse_permission_list(fh.read(), str(path))
+        return parse_permission_list(read_text(path), str(path))
     else:
         raise ValueError(f"unknown source kind {kind!r}, expected one of {list(KINDS)}")
     return extract_permissions(parse_manifest_bytes(data), str(path))

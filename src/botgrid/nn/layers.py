@@ -21,6 +21,13 @@ import numpy as np
 from ..errors import ShapeMismatch
 
 
+# Conv2D.backward makes and scatters its input gradient in even tiles of
+# whole images, about this many im2col rows each, so each tile is scattered
+# while in cache.  No tile drops below half of it: BLAS can round a GEMM of
+# a handful of rows differently from the whole batch's.
+BACKWARD_TILE_ROWS = 800
+
+
 def _relu_std(relu: bool, fan_in: int) -> float:
     # sqrt(2/fan_in) for ReLU layers, sqrt(1/fan_in) for linear ones.
     return float(np.sqrt((2.0 if relu else 1.0) / fan_in))
@@ -110,16 +117,22 @@ class Conv2D:
         if not need_input_grad:
             return None
 
-        gcols2 = g2 @ self.weights.reshape(kh * kw * cin, self.out_channels).T
-        gcols = gcols2.reshape(n, out_h, out_w, kh, kw, cin)
+        weights_t = self.weights.reshape(kh * kw * cin, self.out_channels).T
+        g3 = g2.reshape(n, out_h * out_w, self.out_channels)
         padded_h = max((out_h - 1) * sh + kh, h)
         padded_w = max((out_w - 1) * sw + kw, w)
         gxp = np.zeros((n, padded_h, padded_w, cin), dtype=grad.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[
-                    :, i : i + (out_h - 1) * sh + 1 : sh, j : j + (out_w - 1) * sw + 1 : sw, :
-                ] += gcols[:, :, :, i, j, :]
+        tiles = max(1, n * out_h * out_w // BACKWARD_TILE_ROWS)
+        for t in range(tiles):
+            lo, hi = n * t // tiles, n * (t + 1) // tiles
+            gcols = g3[lo:hi].reshape(-1, self.out_channels) @ weights_t
+            gcols = gcols.reshape(hi - lo, out_h, out_w, kh, kw, cin)
+            tile = gxp[lo:hi]
+            for i in range(kh):
+                for j in range(kw):
+                    tile[
+                        :, i : i + (out_h - 1) * sh + 1 : sh, j : j + (out_w - 1) * sw + 1 : sw, :
+                    ] += gcols[:, :, :, i, j, :]
         return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w, :]
 
     def params(self) -> list[np.ndarray]:

@@ -10,9 +10,16 @@ split so the held-out fold cannot influence the image axes; set
 vocab_from_all to rank permissions over the whole corpus instead.
 
 Inference forwards each distinct image once, in even chunks of at most
-EVAL_BATCH rows.  A forward of 4 or more rows gives the same bits whatever
-else the batch holds; a call with 1-3 distinct images can differ in the
-last bits from the first Dense layer on, as batch-1 predict does.
+EVAL_BATCH rows.  In float32, a forward of 4 or more rows gives the same
+bits whatever else the batch holds; a call with 1-3 distinct images can
+differ in the last bits from the first Dense layer on, as batch-1 predict
+does.  A float64 forward can differ in the last bits at any batch size.
+
+Training, likewise, forwards and backpropagates each distinct (image,
+label) row of a batch once, with the summed loss gradient of its copies;
+the loss still averages over every row.  A batch with repeats sums the
+weight gradients over fewer rows, so they can differ from a per-row sum in
+the last bits; a batch without repeats runs the per-row arithmetic exactly.
 """
 
 from __future__ import annotations
@@ -113,14 +120,17 @@ def train_step(
 ) -> tuple[float, np.ndarray]:
     """Forward, loss, full backward, one optimizer step.
 
+    Each distinct (image, label) row is forwarded and backpropagated once,
+    with the summed gradient of its copies; the loss runs on every row.
     Returns the batch loss and the pre-update output probabilities.
     """
-    probs = model.forward(batch, train=True)
+    first, inverse = _distinct_rows(batch, labels)
+    probs = model.forward(batch[first], train=True)[inverse]
     loss = bce_loss(probs[:, 1], labels)
     if not np.isfinite(loss.value):
         raise NonFiniteLoss(f"loss diverged to {loss.value}")
-    grad_probs = np.zeros_like(probs)
-    grad_probs[:, 1] = loss.gradient
+    grad_probs = np.zeros((len(first), probs.shape[1]), dtype=probs.dtype)
+    np.add.at(grad_probs[:, 1], inverse, loss.gradient)
     model.backward(grad_probs)
     adam.step(model.params(), model.grads())
     return loss.value, probs
@@ -176,11 +186,23 @@ def train(
     return model, trace
 
 
-def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:
-    """Class per sample; keyed by bytes, so -0.0, NaN and any tensor match exactly."""
-    rows = np.ascontiguousarray(tensors).reshape(len(tensors), -1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+def _distinct_rows(tensors: np.ndarray, labels: np.ndarray | None = None):
+    """(first, inverse): where each distinct row first appears, in order of
+    appearance, and each row's position among them.  A row is keyed by its
+    bytes and label, so -0.0, NaN and any tensor match exactly."""
+    rows = np.ascontiguousarray(tensors).reshape(len(tensors), -1).view(np.uint8)
+    if labels is not None:
+        label_bytes = np.asarray(labels, dtype=np.int64).reshape(-1, 1).view(np.uint8)
+        rows = np.concatenate([rows, label_bytes], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:
+    """Class per sample, each distinct image forwarded once."""
+    first, inverse = _distinct_rows(tensors)
     chunks = np.array_split(tensors[first], -(-len(first) // EVAL_BATCH))
     return np.concatenate([model.predict(chunk) for chunk in chunks])[inverse]
 
@@ -189,9 +211,9 @@ def evaluate(model: CnnModel, tensors: np.ndarray, labels: np.ndarray) -> EvalMe
     """Argmax predictions scored with botnet as the positive class.
 
     Each distinct image is forwarded once, in even chunks of at most
-    EVAL_BATCH rows: exact for chunks of 4 rows or more, while fewer than 4
-    distinct images can differ in the last bits from the first Dense layer
-    on, as batch-1 predict does.
+    EVAL_BATCH rows: exact in float32 for chunks of 4 rows or more, while
+    fewer than 4 distinct images can differ in the last bits from the first
+    Dense layer on, as batch-1 predict does.
     """
     labels = np.asarray(labels)
     if len(tensors) == 0:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DuplicateEntry, EmptyFile
+from .manifest import read_text
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,9 @@ def save_vocabulary(vocab: PermissionVocabulary, path) -> None:
 
 def load_vocabulary(path) -> PermissionVocabulary:
     """Inverse of save_vocabulary: line order is index order."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
     names: list[str] = []
     seen: set[str] = set()
-    for line in lines:
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -322,6 +322,23 @@ def test_exit_codes(tmp_path, corpus_dir, monkeypatch, capsys):
     assert "numeric divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "encode", "vocab"])
+def test_text_input_that_is_not_utf8_exits_parse(tmp_path, corpus_dir, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"android.permission.INTERNET\n\xff\n")
+    sample = str(corpus_dir / "benign_0003.txt")
+    argv = {
+        "extract": ["extract", str(bad), "--kind", "permlist"],
+        "encode": ["encode", sample, "--kind", "permlist", "--vocab", str(bad),
+                   "--out", str(tmp_path / "img.pgm")],
+        "vocab": ["vocab", "--manifest", str(bad), "--out", str(tmp_path / "v.txt")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err and "not UTF-8" in err
+
+
 def test_predict_with_rejected_model_geometry_exits_parse(tmp_path, corpus_dir):
     # A valid CRC over a 64x64 pooling window on the 41x41 feature map.
     model_path = tmp_path / "model.bin"

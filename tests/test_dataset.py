@@ -93,6 +93,19 @@ def test_ingest_isolates_single_failure(tmp_path):
     assert "missing.txt" in corpus.failures[0][0]
 
 
+def test_ingest_records_a_permission_list_that_is_not_utf8(tmp_path):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    write_permlist(good, ["p0"])
+    bad.write_bytes(b"p0\n\xff\n")
+    corpus = extract_corpus([
+        ManifestRecord(str(good), "benign", "permlist"),
+        ManifestRecord(str(bad), "botnet", "permlist"),
+    ])
+    assert corpus.paths == [str(good)]
+    assert corpus.failures == [(str(bad), corpus.failures[0][1])]
+    assert corpus.failures[0][1].startswith("NotUtf8: ")
+
+
 def test_ingest_all_failed(tmp_path):
     records = [ManifestRecord(str(tmp_path / "nope.txt"), "benign", "permlist")]
     with pytest.raises(AllSamplesFailed):

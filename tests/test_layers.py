@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from botgrid.errors import ShapeMismatch
+from botgrid.nn import layers
 from botgrid.nn.layers import Conv2D, Dense, MaxPool2D, Softmax
 from botgrid.nn.model import LayerSpec, build_model
 
@@ -135,6 +136,44 @@ def test_conv_gather_is_exact(kernel, stride, cin):
     want = np.maximum(cols @ layer.weights.reshape(-1, 4) + layer.bias, 0).reshape(n, oh, ow, 4)
     assert np.array_equal(layer.forward(x), want)
     assert np.array_equal(layer.forward(x, train=True), want)
+
+
+def untiled_input_gradient(layer, grad):
+    """The whole batch's im2col gradient, scattered window slot by slot."""
+    x_shape, (pad_top, pad_left), _, mask, (oh, ow) = layer._cache
+    n, h, w, cin = x_shape
+    (kh, kw), (sh, sw) = layer.kernel, layer.stride
+    g2 = grad.reshape(-1, layer.out_channels) * mask
+    gcols = (g2 @ layer.weights.reshape(-1, layer.out_channels).T).reshape(n, oh, ow, kh, kw, cin)
+    gxp = np.zeros((n, max((oh - 1) * sh + kh, h), max((ow - 1) * sw + kw, w), cin), grad.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw] += gcols[
+                :, :, :, i, j
+            ]
+    return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "shape", [(20, 20, 8, 16, (5, 5)), (5, 5, 16, 32, (3, 3)), (5, 5, 128, 256, (1, 1))]
+)
+def test_conv_tiled_input_gradient_is_exact(shape, stride, dtype):
+    # Equal bytes: each tile's GEMM rows and scatter order match the
+    # whole-batch computation.  At batch 33 the 20x20 maps split into tiles;
+    # on the 5x5 maps, a tile of one or two 3x3 outputs would give a GEMM of
+    # a handful of rows, which BLAS sums another way.
+    h, w, cin, cout, kernel = shape
+    rng = np.random.default_rng(13)
+    layer = Conv2D(cin, cout, kernel, stride, rng=rng, dtype=dtype)
+    layer.bias = rng.standard_normal(cout).astype(dtype)
+    for n in (1, 3, 5, 33):
+        y = layer.forward(rng.standard_normal((n, h, w, cin)).astype(dtype), train=True)
+        grad = rng.standard_normal(y.shape).astype(dtype)
+        want = untiled_input_gradient(layer, grad)
+        assert layer.backward(grad).tobytes() == want.tobytes()
+    assert 33 * 10 * 10 // layers.BACKWARD_TILE_ROWS > 1
 
 
 def test_conv_zero_upstream_gradient():

@@ -7,7 +7,7 @@ from botgrid import training
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
-from botgrid.nn import Adam, build_reference_model
+from botgrid.nn import Adam, bce_loss, build_reference_model
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import (
     TrainConfig,
@@ -104,6 +104,74 @@ def test_single_sample_overfit():
     losses = [loss] + [train_step(model, x, y, adam)[0] for _ in range(199)]
     assert losses[-1] < 1e-2
     assert losses[-1] < losses[0]
+
+
+def _full_batch_step(model, batch, labels, adam):
+    """One step that forwards and backpropagates every row, copies included."""
+    probs = model.forward(batch, train=True)
+    loss = bce_loss(probs[:, 1], labels)
+    grad = np.zeros_like(probs)
+    grad[:, 1] = loss.gradient
+    model.backward(grad)
+    adam.step(model.params(), model.grads())
+    return loss.value, probs
+
+
+def _steps_side_by_side(batch, labels, dtype=np.float64):
+    model = build_reference_model(seed=9, n=16, dtype=dtype)
+    reference = build_reference_model(seed=9, n=16, dtype=dtype)
+    got = train_step(model, batch, labels, Adam())
+    want = _full_batch_step(reference, batch, labels, Adam())
+    return model, reference, got, want
+
+
+def _batch_with_repeats():
+    """Ten rows, six distinct: image 0 comes three times as botnet, once as benign."""
+    images = np.random.default_rng(21).random((5, 16, 16, 1))
+    pick = np.array([0, 1, 0, 2, 3, 0, 1, 4, 0, 2])
+    labels = np.array([1, 0, 1, 1, 0, 1, 0, 1, 0, 1])
+    return images[pick], labels
+
+
+def test_train_step_runs_each_distinct_row_once(monkeypatch):
+    batch, labels = _batch_with_repeats()
+    forwarded = []
+    forward = training.CnnModel.forward
+
+    def counting_forward(self, x, train=False):
+        forwarded.append(len(x))
+        return forward(self, x, train)
+
+    monkeypatch.setattr(training.CnnModel, "forward", counting_forward)
+    model, reference, (loss, probs), (want_loss, want_probs) = _steps_side_by_side(batch, labels)
+    assert forwarded == [6, 10]  # the step's distinct rows, then the reference batch
+    # float64 GEMMs of 6 and 10 rows may round the last Dense layer differently
+    np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=0)
+    for p, q in zip(model.params(), reference.params()):
+        np.testing.assert_allclose(p, q, rtol=1e-10, atol=0)
+
+
+def test_train_step_with_repeats_keeps_the_full_batch_loss_and_probs():
+    # float32, as training runs by default: a forward of 4 or more rows
+    # gives each row the same bits whatever else the batch holds
+    batch, labels = _batch_with_repeats()
+    _, _, (loss, probs), (want_loss, want_probs) = _steps_side_by_side(
+        batch.astype(np.float32), labels, np.float32
+    )
+    assert loss == want_loss
+    assert probs.tobytes() == want_probs.tobytes()
+
+
+def test_train_step_without_repeats_is_bitwise_the_full_batch():
+    rng = np.random.default_rng(22)
+    batch = rng.random((6, 16, 16, 1))
+    labels = np.array([1, 0, 0, 1, 1, 0])
+    model, reference, (loss, probs), (want_loss, want_probs) = _steps_side_by_side(batch, labels)
+    assert loss == want_loss
+    assert probs.tobytes() == want_probs.tobytes()
+    for p, q in zip(model.params(), reference.params()):
+        assert p.tobytes() == q.tobytes()
 
 
 def test_train_step_raises_on_non_finite():
