@@ -1,13 +1,16 @@
 """Minimal ZIP container reader for APK files.
 
 Reads the end-of-central-directory record and the central directory to
-build the entry table, then decodes individual entries on demand.  Only
+build the entry table, then decodes individual entries on demand.  An
+archive opened from a file is read by seeking, never whole.  Only
 the two compression methods found in real APKs are supported: stored (0)
 and DEFLATE (8).
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -50,12 +53,19 @@ class ZipEntry:
 
 
 class ApkArchive:
-    """Read-only view of a ZIP archive; safe to share across workers."""
+    """Read-only view of a ZIP archive; safe to share across workers.
 
-    def __init__(self, data: bytes, source: str = "<memory>"):
+    `data` holds the whole archive.  With `data=None` the archive is the
+    file named by `source`: each call opens it and seeks to what it needs,
+    the end-of-central-directory record, the bytes from the central
+    directory to the end of the file, or one entry, and reads only that."""
+
+    def __init__(self, data: bytes | None, source: str = "<memory>"):
         self._data = data
         self.source = source
-        self._entries = self._read_central_directory()
+        with self._open() as fh:
+            self._size = fh.seek(0, os.SEEK_END)
+            self._entries = self._read_central_directory(fh)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -68,28 +78,41 @@ class ApkArchive:
             raise KeyError(f"no entry {name!r} in {self.source}") from None
         return self._read_entry(entry)
 
-    def _read_central_directory(self) -> dict[str, ZipEntry]:
-        data = self._data
-        if len(data) < _EOCD.size:
+    def _open(self):
+        return open(self.source, "rb") if self._data is None else io.BytesIO(self._data)
+
+    def _read_central_directory(self, fh) -> dict[str, ZipEntry]:
+        if self._size < _EOCD.size:
             raise NotAZip(f"{self.source}: too small to hold an end-of-central-directory record")
-        eocd_off = self._find_eocd(data)
+        # Most archives have no comment, so the record is the last 22 bytes.
+        for tail_size in (_EOCD.size, _MAX_EOCD_SCAN):
+            fh.seek(max(0, self._size - tail_size))
+            tail = fh.read(tail_size)
+            eocd_off = self._find_eocd(tail)
+            if eocd_off != -1:
+                break
+        else:
+            raise NotAZip("no end-of-central-directory record found")
         (_, disk_no, cd_disk, _, total_entries, cd_size, cd_offset, _) = _EOCD.unpack_from(
-            data, eocd_off
+            tail, eocd_off
         )
         if disk_no != 0 or cd_disk != 0:
             raise NotAZip(f"{self.source}: multi-disk archives are not supported")
-        if cd_offset + cd_size > len(data):
+        if cd_offset + cd_size > self._size:
             raise TruncatedArchive(f"{self.source}: central directory extends past end of file")
+        # Only the end of the file bounds the records, not the declared size.
+        fh.seek(cd_offset)
+        data = fh.read()
 
         entries: dict[str, ZipEntry] = {}
-        pos = cd_offset
+        pos = 0
         for _ in range(total_entries):
             if pos + _CENTRAL.size > len(data):
                 raise TruncatedArchive(f"{self.source}: central directory record truncated")
             fields = _CENTRAL.unpack_from(data, pos)
             if fields[0] != CENTRAL_SIG:
                 raise TruncatedArchive(
-                    f"{self.source}: bad central directory signature at offset {pos}"
+                    f"{self.source}: bad central directory signature at offset {cd_offset + pos}"
                 )
             (_, _, _, _, method, _, _, crc, csize, usize,
              name_len, extra_len, comment_len, _, _, _, local_off) = fields
@@ -105,16 +128,17 @@ class ApkArchive:
         return entries
 
     @staticmethod
-    def _find_eocd(data: bytes) -> int:
-        scan_from = max(0, len(data) - _MAX_EOCD_SCAN)
-        pos = data.rfind(struct.pack("<I", EOCD_SIG), scan_from)
+    def _find_eocd(tail: bytes) -> int:
+        """Offset of the last record in `tail` whose comment ends by the end
+        of `tail` (the end of the file), or -1."""
+        pos = tail.rfind(struct.pack("<I", EOCD_SIG))
         while pos != -1:
-            if pos + _EOCD.size <= len(data):
-                comment_len = struct.unpack_from("<H", data, pos + 20)[0]
-                if pos + _EOCD.size + comment_len <= len(data):
+            if pos + _EOCD.size <= len(tail):
+                comment_len = struct.unpack_from("<H", tail, pos + 20)[0]
+                if pos + _EOCD.size + comment_len <= len(tail):
                     return pos
-            pos = data.rfind(struct.pack("<I", EOCD_SIG), scan_from, pos)
-        raise NotAZip("no end-of-central-directory record found")
+            pos = tail.rfind(struct.pack("<I", EOCD_SIG), 0, pos)
+        return -1
 
     def _read_entry(self, entry: ZipEntry) -> bytes:
         if entry.uncompressed_size > MAX_ENTRY_BYTES:
@@ -122,21 +146,22 @@ class ApkArchive:
                 f"{self.source}: {entry.name!r} declares {entry.uncompressed_size} bytes, "
                 f"more than the {MAX_ENTRY_BYTES}-byte limit"
             )
-        data = self._data
         pos = entry.local_header_offset
-        if pos + _LOCAL.size > len(data):
+        if pos + _LOCAL.size > self._size:
             raise TruncatedArchive(f"{self.source}: local header of {entry.name!r} truncated")
-        fields = _LOCAL.unpack_from(data, pos)
-        if fields[0] != LOCAL_SIG:
-            raise TruncatedArchive(
-                f"{self.source}: bad local header signature for {entry.name!r}"
-            )
-        name_len, extra_len = fields[9], fields[10]
-        payload_start = pos + _LOCAL.size + name_len + extra_len
-        payload_end = payload_start + entry.compressed_size
-        if payload_end > len(data):
-            raise TruncatedArchive(f"{self.source}: payload of {entry.name!r} truncated")
-        payload = data[payload_start:payload_end]
+        with self._open() as fh:
+            fh.seek(pos)
+            fields = _LOCAL.unpack(fh.read(_LOCAL.size))
+            if fields[0] != LOCAL_SIG:
+                raise TruncatedArchive(
+                    f"{self.source}: bad local header signature for {entry.name!r}"
+                )
+            name_len, extra_len = fields[9], fields[10]
+            payload_start = pos + _LOCAL.size + name_len + extra_len
+            if payload_start + entry.compressed_size > self._size:
+                raise TruncatedArchive(f"{self.source}: payload of {entry.name!r} truncated")
+            fh.seek(payload_start)
+            payload = fh.read(entry.compressed_size)
 
         if entry.method == 0:
             out = payload
@@ -165,6 +190,4 @@ class ApkArchive:
 
 def open_apk(path) -> ApkArchive:
     """Open an APK (ZIP) file and index its central directory."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return ApkArchive(data, source=str(path))
+    return ApkArchive(None, source=str(path))

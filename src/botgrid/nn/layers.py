@@ -4,14 +4,17 @@ Data layout is channels-last: activations are (N, H, W, C) for spatial
 layers and (N, F) for dense layers.  Convolution is cross-correlation
 (no kernel flip) with "same" zero-padding: the output spatial size is
 ceil(input / stride), and when the total padding is odd the extra row
-or column goes on the bottom/right.  Its im2col matrix is gathered in
-one copy of a strided (N, out_h, out_w, kh, kw, C) window view of the
-padded input.  Max pooling routes each window's gradient to the first
-row-major position holding its maximum.  All layers preserve the dtype
-of their inputs.  A layer's only per-call state is the cache for the
-backward pass, recorded when train=True and owning the arrays it holds.
-Inference writes no layer state, so it may run between a training
-forward and its backward, and one model may serve concurrent calls.
+or column goes on the bottom/right.  A conv computes only the top-left
+rows and columns of its output that a later layer reads (pooling drops a
+trailing row or column that does not fill a window) and writes +0.0 at
+the rest.  Its im2col matrix is gathered in one copy of a strided
+(N, rows, cols, kh, kw, C) window view of the padded input.  Max
+pooling routes each window's gradient to the first row-major position
+holding its maximum.  All layers preserve the dtype of their inputs.  A
+layer's only per-call state is the cache for the backward pass, recorded
+when train=True and owning the arrays it holds.  Inference writes no
+layer state, so it may run between a training forward and its backward,
+and one model may serve concurrent calls.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 
 
 class Conv2D:
+    """Convolution with "same" padding and an optional fused ReLU.
+
+    `extent` is the (rows, cols) at the top left of the output that a later
+    layer reads, as `CnnModel` works it out from the layer geometry; None
+    means all of it.  Forward computes only that rectangle and writes +0.0
+    at the rest of the full-shape output; backward reads the upstream
+    gradient only inside it, as the gradient is 0 everywhere else."""
+
     def __init__(
         self,
         in_channels: int,
@@ -50,6 +61,7 @@ class Conv2D:
         relu: bool = True,
         rng: np.random.Generator | None = None,
         dtype=np.float64,
+        extent: tuple[int, int] | None = None,
     ):
         kh, kw = kernel
         if kh < 1 or kw < 1 or stride[0] < 1 or stride[1] < 1:
@@ -61,6 +73,7 @@ class Conv2D:
         self.kernel = (kh, kw)
         self.stride = tuple(stride)
         self.relu = relu
+        self.extent = extent
         self.dtype = np.dtype(dtype)
         rng = rng if rng is not None else np.random.default_rng(0)
         std = _relu_std(relu, kh * kw * in_channels)
@@ -82,56 +95,64 @@ class Conv2D:
         sh, sw = self.stride
         out_h, pad_top, pad_bottom = _same_padding(h, kh, sh)
         out_w, pad_left, pad_right = _same_padding(w, kw, sw)
+        rows, cols = self.extent or (out_h, out_w)
+        eh, ew = min(rows, out_h), min(cols, out_w)
 
         xp = np.pad(x, ((0, 0), (pad_top, pad_bottom), (pad_left, pad_right), (0, 0)))
         s0, s1, s2, s3 = xp.strides
         windows = np.lib.stride_tricks.as_strided(
-            xp, (n, out_h, out_w, kh, kw, cin), (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False
+            xp, (n, eh, ew, kh, kw, cin), (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False
         )
-        cols2 = np.ascontiguousarray(windows).reshape(n * out_h * out_w, kh * kw * cin)
+        cols2 = np.ascontiguousarray(windows).reshape(n * eh * ew, kh * kw * cin)
         y2 = cols2 @ self.weights.reshape(kh * kw * cin, self.out_channels)
         y2 += self.bias
         if self.relu:
             np.maximum(y2, 0, out=y2)
         if train:
             mask = y2 > 0 if self.relu else None
-            self._cache = (x.shape, (pad_top, pad_left), cols2, mask, (out_h, out_w))
-        return y2.reshape(n, out_h, out_w, self.out_channels)
+            self._cache = (x.shape, (pad_top, pad_left), cols2, mask, (eh, ew))
+        y = y2.reshape(n, eh, ew, self.out_channels)
+        if (eh, ew) == (out_h, out_w):
+            return y
+        return np.pad(y, ((0, 0), (0, out_h - eh), (0, out_w - ew), (0, 0)))
 
     def backward(self, grad: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward before forward(train=True)")
-        x_shape, (pad_top, pad_left), cols2, mask, (out_h, out_w) = self._cache
+        x_shape, (pad_top, pad_left), cols2, mask, (eh, ew) = self._cache
         n, h, w, cin = x_shape
         kh, kw = self.kernel
         sh, sw = self.stride
+        out_h, out_w = _same_padding(h, kh, sh)[0], _same_padding(w, kw, sw)[0]
         if grad.shape != (n, out_h, out_w, self.out_channels):
             raise ShapeMismatch(
                 f"grad shape {grad.shape} != {(n, out_h, out_w, self.out_channels)}"
             )
-        g2 = grad.reshape(n * out_h * out_w, self.out_channels)
+        # No later layer reads an output past the extent: its gradient is 0.
+        g = grad[:, :eh, :ew]
         if mask is not None:
-            g2 = g2 * mask
+            g = g * mask.reshape(g.shape)
+        g2 = g.reshape(n * eh * ew, self.out_channels)
         self.grad_bias = g2.sum(axis=0)
         self.grad_weights = (cols2.T @ g2).reshape(self.weights.shape)
         if not need_input_grad:
             return None
 
         weights_t = self.weights.reshape(kh * kw * cin, self.out_channels).T
-        g3 = g2.reshape(n, out_h * out_w, self.out_channels)
+        g3 = g2.reshape(n, eh * ew, self.out_channels)
         padded_h = max((out_h - 1) * sh + kh, h)
         padded_w = max((out_w - 1) * sw + kw, w)
         gxp = np.zeros((n, padded_h, padded_w, cin), dtype=grad.dtype)
-        tiles = max(1, n * out_h * out_w // BACKWARD_TILE_ROWS)
+        tiles = max(1, n * eh * ew // BACKWARD_TILE_ROWS)
         for t in range(tiles):
             lo, hi = n * t // tiles, n * (t + 1) // tiles
             gcols = g3[lo:hi].reshape(-1, self.out_channels) @ weights_t
-            gcols = gcols.reshape(hi - lo, out_h, out_w, kh, kw, cin)
+            gcols = gcols.reshape(hi - lo, eh, ew, kh, kw, cin)
             tile = gxp[lo:hi]
             for i in range(kh):
                 for j in range(kw):
                     tile[
-                        :, i : i + (out_h - 1) * sh + 1 : sh, j : j + (out_w - 1) * sw + 1 : sw, :
+                        :, i : i + (eh - 1) * sh + 1 : sh, j : j + (ew - 1) * sw + 1 : sw, :
                     ] += gcols[:, :, :, i, j, :]
         return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w, :]
 

@@ -9,6 +9,12 @@ map into 1024 inputs.
 Layer geometry is worked out once, before anything is allocated:
 `CnnModel` builds its layers from the shapes `_layer_shapes` returns,
 and `load_model` bounds a file's parameter count by the same shapes.
+The same walk, run back from the output, yields the read extent of each
+conv: the top-left rows and columns of its output that a later layer
+reads, which are all that it computes.  Max pooling takes the floor, so
+at n = 41 pool1 never reads conv1's last row and column, pool4 never
+reads conv4's, and the borders of conv2 and conv3 that feed only unread
+outputs go unread too.
 """
 
 from __future__ import annotations
@@ -94,11 +100,11 @@ class CnnModel:
         shapes = _layer_shapes(self.specs, self.input_shape)
         self.output_shapes = shapes[1:]
         self.layers = []
-        for spec, shape in zip(self.specs, shapes):
+        for spec, shape, extent in zip(self.specs, shapes, _read_extents(self.specs, shapes)):
             if spec.kind == "conv":
                 layer = Conv2D(
                     shape[2], spec.out_channels, spec.kernel, spec.stride,
-                    relu=spec.relu, rng=rng, dtype=self.dtype,
+                    relu=spec.relu, rng=rng, dtype=self.dtype, extent=extent,
                 )
             elif spec.kind == "maxpool":
                 layer = MaxPool2D(spec.kernel)  # _layer_shapes checked stride == kernel
@@ -178,6 +184,31 @@ def _layer_shapes(specs, input_shape) -> list[tuple[int, ...]]:
             raise ShapeMismatch(f"softmax expects a flat input, got {shape}")
         shapes.append(shape)
     return shapes
+
+
+def _read_extents(specs, shapes) -> list[tuple[int, int] | None]:
+    """For each layer, the (rows, cols) at the top left of its output that
+    a later layer reads, or None for a flat output.  Walks back from the
+    model output: a dense layer reads all of its input, a max-pool reads
+    kernel x the extent read of its output, and a conv reads input rows
+    [0, (r - 1) * stride + kernel - pad_top), capped at the input size."""
+    extents: list[tuple[int, int] | None] = [None] * len(specs)
+    read = None  # what later layers read of the current layer's output; None: all
+    for i in reversed(range(len(specs))):
+        spec = specs[i]
+        if spec.kind not in ("conv", "maxpool"):
+            read = None
+            continue
+        extents[i] = rows, cols = read or shapes[i + 1][:2]
+        (h, w), (kh, kw), (sh, sw) = shapes[i][:2], spec.kernel, spec.stride
+        if spec.kind == "maxpool":
+            read = (rows * kh, cols * kw)
+        else:
+            read = (
+                min((rows - 1) * sh + kh - _same_padding(h, kh, sh)[1], h),
+                min((cols - 1) * sw + kw - _same_padding(w, kw, sw)[1], w),
+            )
+    return extents
 
 
 def build_model(

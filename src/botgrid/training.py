@@ -20,6 +20,12 @@ label) row of a batch once, with the summed loss gradient of its copies;
 the loss still averages over every row.  A batch with repeats sums the
 weight gradients over fewer rows, so they can differ from a per-row sum in
 the last bits; a batch without repeats runs the per-row arithmetic exactly.
+
+Each convolution computes only the output rows and columns that a later
+layer reads (see nn.model), so inference gives the same bits as computing
+every output.  Training sums each conv's weight and bias gradients over
+the read rows only, which drops only exact zeros but can change the last
+bits, as the deduplicated rows can.
 """
 
 from __future__ import annotations

@@ -179,3 +179,34 @@ def test_inflate_bomb_fails_in_bounded_memory(bomb_zip, declared, error):
         tracemalloc.stop()
     assert isinstance(exc.value, ParseError)
     assert peak < MAX_ENTRY_BYTES
+
+
+def shift_offsets(blob: bytes, prefix: int) -> bytes:
+    """Move a one-entry archive's two offsets past `prefix` leading bytes."""
+    patched = bytearray(blob)
+    eocd_at = blob.rfind(b"PK\x05\x06")
+    cd_offset = struct.unpack_from("<I", blob, eocd_at + 16)[0]
+    struct.pack_into("<I", patched, cd_offset + 42, prefix)  # local header offset
+    struct.pack_into("<I", patched, eocd_at + 16, cd_offset + prefix)
+    return bytes(patched)
+
+
+@pytest.mark.parametrize("prefix_mib", [1, 256])
+def test_open_apk_reads_in_memory_bounded_by_the_archive(tmp_path, prefix_mib):
+    # A sparse file: a large hole of zeros, then a valid archive.  What is
+    # read stays the same whatever the size of the hole.
+    payload = bytes(range(256)) * 64
+    blob = build_zip([("AndroidManifest.xml", payload, 8)])
+    prefix = prefix_mib * 1024 * 1024
+    path = tmp_path / "sparse.apk"
+    with open(path, "wb") as fh:
+        fh.seek(prefix)
+        fh.write(shift_offsets(blob, prefix))
+    tracemalloc.start()
+    try:
+        archive = open_apk(path)
+        assert archive.read("AndroidManifest.xml") == payload
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

@@ -176,6 +176,29 @@ def test_conv_tiled_input_gradient_is_exact(shape, stride, dtype):
     assert 33 * 10 * 10 // layers.BACKWARD_TILE_ROWS > 1
 
 
+def test_conv_extent_computes_only_the_top_left():
+    # Outside its extent a conv writes +0.0, never leftover memory, and its
+    # gradients equal the full computation's fed a gradient of 0 there.
+    rng = np.random.default_rng(17)
+    full, part = (
+        Conv2D(3, 4, (3, 3), relu=False, rng=np.random.default_rng(1), dtype=np.float64,
+               extent=extent)
+        for extent in (None, (4, 3))
+    )
+    x = rng.standard_normal((2, 6, 5, 3))
+    want, got = full.forward(x, train=True), part.forward(x, train=True)
+    assert got[:, :4, :3].tobytes() == want[:, :4, :3].tobytes()
+    assert not got[:, 4:].view(np.uint64).any() and not got[:, :, 3:].view(np.uint64).any()
+    grad = np.zeros_like(want)
+    grad[:, :4, :3] = rng.standard_normal((2, 4, 3, 4))
+    for got, want in [
+        (part.backward(grad), full.backward(grad)),
+        (part.grad_weights, full.grad_weights),
+        (part.grad_bias, full.grad_bias),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_conv_zero_upstream_gradient():
     rng = np.random.default_rng(1)
     layer = Conv2D(2, 3, (3, 3), rng=rng, dtype=np.float64)

@@ -17,6 +17,7 @@ from botgrid.errors import (
     TruncatedChunk,
     VersionMismatch,
 )
+from botgrid.nn.layers import Conv2D
 from botgrid.nn.model import (
     CnnModel,
     LayerSpec,
@@ -234,6 +235,63 @@ def test_threaded_inference_matches_serial():
         for _ in range(5):
             for want, got in zip(serial, pool.map(model.forward, batches)):
                 assert np.array_equal(want, got)
+
+
+def conv_extents(model):
+    return [layer.extent for layer in model.layers if isinstance(layer, Conv2D)]
+
+
+def computing_every_output(model):
+    """The model with every conv computing its whole output."""
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            layer.extent = None
+    return model
+
+
+def test_each_conv_computes_only_what_a_later_layer_reads():
+    # At n = 41 pool1 drops conv1's row and column 40 and pool4 drops
+    # conv4's row and column 4; the other borders trace back to those.
+    assert conv_extents(build_reference_model(seed=0)) == [(40, 40), (18, 18), (8, 8), (4, 4)]
+    for n in (16, 64):
+        model = build_reference_model(seed=0, n=n)
+        whole = [
+            shape[:2]
+            for layer, shape in zip(model.layers, model.output_shapes)
+            if isinstance(layer, Conv2D)
+        ]
+        assert conv_extents(model) == whole
+    assert conv_extents(build_model(REDUCED, (9, 9, 1)))[0] == (8, 8)
+
+
+INFERENCE_MODELS = {
+    "n41": lambda dtype: build_reference_model(seed=6, dtype=dtype),
+    "n23": lambda dtype: build_reference_model(seed=6, n=23, dtype=dtype),
+    "reduced9x9": lambda dtype: build_model(REDUCED, (9, 9, 1), seed=6, dtype=dtype),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(INFERENCE_MODELS))
+def test_forward_is_bitwise_the_full_computation(name, dtype):
+    model = INFERENCE_MODELS[name](dtype)
+    full = computing_every_output(INFERENCE_MODELS[name](dtype))
+    assert conv_extents(model) != conv_extents(full)
+    rng = np.random.default_rng(8)
+    for batch in (1, 3, 4, 16, 37):
+        x = rng.random((batch, *model.input_shape)).astype(dtype)
+        assert model.forward(x).tobytes() == full.forward(x).tobytes()
+
+
+def test_save_load_keeps_read_extents_and_forward_bytes(tmp_path):
+    model = build_reference_model(seed=2)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert conv_extents(loaded) == conv_extents(model)
+    x = np.random.default_rng(4).random((5, 41, 41, 1), dtype=np.float32)
+    want = computing_every_output(build_reference_model(seed=2)).forward(x)
+    assert loaded.forward(x).tobytes() == want.tobytes()
 
 
 # Offsets into a saved reference model.  The payload follows the magic,

@@ -8,6 +8,7 @@ from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
 from botgrid.nn import Adam, bce_loss, build_reference_model
+from botgrid.nn.layers import Conv2D
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import (
     TrainConfig,
@@ -172,6 +173,57 @@ def test_train_step_without_repeats_is_bitwise_the_full_batch():
     assert probs.tobytes() == want_probs.tobytes()
     for p, q in zip(model.params(), reference.params()):
         assert p.tobytes() == q.tobytes()
+
+
+def _full_computation(model):
+    """The model with every conv computing its whole output."""
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            layer.extent = None
+    return model
+
+
+def _distinct_images(n):
+    v = np.random.default_rng(23).random((8, n)) < 0.4
+    return (1.0 - v[:, :, None] * v[:, None, :])[..., None], np.array([1, 0, 0, 1, 1, 0, 1, 0])
+
+
+def test_unread_conv_outputs_get_exactly_zero_gradient():
+    # The premise of computing only the read extent: under the full
+    # computation, nothing flows back into a conv output past it.
+    model = build_reference_model(seed=9, dtype=np.float64)
+    convs = {i: layer for i, layer in enumerate(model.layers) if isinstance(layer, Conv2D)}
+    extents = {i: conv.extent for i, conv in convs.items()}
+    _full_computation(model)
+    upstream = {}
+    for i, conv in convs.items():
+        def recording(grad, i=i, backward=conv.backward, **kwargs):
+            upstream[i] = grad.copy()
+            return backward(grad, **kwargs)
+        conv.backward = recording
+    images, labels = _distinct_images(41)
+    _full_batch_step(model, images, labels, Adam())
+    assert sorted(upstream) == sorted(convs)
+    for i, grad in upstream.items():
+        rows, cols = extents[i]
+        assert grad.shape[1:3] != (rows, cols)
+        assert np.all(grad[:, rows:] == 0) and np.all(grad[:, :, cols:] == 0)
+        assert np.any(grad[:, :rows, :cols] != 0)
+
+
+@pytest.mark.parametrize("n", [41, 16])
+def test_train_step_matches_the_full_computation(n):
+    images, labels = _distinct_images(n)
+    model = build_reference_model(seed=9, n=n, dtype=np.float64)
+    full = _full_computation(build_reference_model(seed=9, n=n, dtype=np.float64))
+    got = train_step(model, images, labels, Adam())
+    want = train_step(full, images, labels, Adam())
+    assert got[1].tobytes() == want[1].tobytes()
+    for p, q in zip(model.params(), full.params()):
+        if n == 16:  # every conv reads its whole output: the same arithmetic
+            assert p.tobytes() == q.tobytes()
+        else:  # weight and bias gradients summed over the read rows only
+            np.testing.assert_allclose(p, q, rtol=1e-10, atol=0)
 
 
 def test_train_step_raises_on_non_finite():
