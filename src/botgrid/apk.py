@@ -2,14 +2,15 @@
 
 Reads the end-of-central-directory record and the central directory to
 build the entry table, then decodes individual entries on demand.  An
-archive opened from a file is read by seeking, never whole.  Only
+archive opened from a file is memory-mapped, not read: only the pages the
+reader touches are loaded, and no declared size is ever copied whole.  Only
 the two compression methods found in real APKs are supported: stored (0)
 and DEFLATE (8).
 """
 
 from __future__ import annotations
 
-import io
+import mmap
 import os
 import struct
 import zlib
@@ -37,6 +38,10 @@ MAX_ENTRY_BYTES = 4 * 1024 * 1024
 # EOCD is 22 bytes plus an up-to-64KiB trailing comment.
 _MAX_EOCD_SCAN = 22 + 0xFFFF
 
+# DEFLATE input is fed in slices of this size, so a payload's declared
+# compressed size bounds how far the reader looks, not what it copies.
+_INFLATE_CHUNK = 64 * 1024
+
 _EOCD = struct.Struct("<IHHHHIIH")
 _CENTRAL = struct.Struct("<IHHHHHHIIIHHHHHII")
 _LOCAL = struct.Struct("<IHHHHHIIIHH")
@@ -55,17 +60,12 @@ class ZipEntry:
 class ApkArchive:
     """Read-only view of a ZIP archive; safe to share across workers.
 
-    `data` holds the whole archive.  With `data=None` the archive is the
-    file named by `source`: each call opens it and seeks to what it needs,
-    the end-of-central-directory record, the bytes from the central
-    directory to the end of the file, or one entry, and reads only that."""
+    `data` is the whole archive as bytes or a read-only `mmap`."""
 
-    def __init__(self, data: bytes | None, source: str = "<memory>"):
+    def __init__(self, data: bytes | mmap.mmap, source: str = "<memory>"):
         self._data = data
         self.source = source
-        with self._open() as fh:
-            self._size = fh.seek(0, os.SEEK_END)
-            self._entries = self._read_central_directory(fh)
+        self._entries = self._read_central_directory()
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -78,41 +78,28 @@ class ApkArchive:
             raise KeyError(f"no entry {name!r} in {self.source}") from None
         return self._read_entry(entry)
 
-    def _open(self):
-        return open(self.source, "rb") if self._data is None else io.BytesIO(self._data)
-
-    def _read_central_directory(self, fh) -> dict[str, ZipEntry]:
-        if self._size < _EOCD.size:
+    def _read_central_directory(self) -> dict[str, ZipEntry]:
+        data = self._data
+        if len(data) < _EOCD.size:
             raise NotAZip(f"{self.source}: too small to hold an end-of-central-directory record")
-        # Most archives have no comment, so the record is the last 22 bytes.
-        for tail_size in (_EOCD.size, _MAX_EOCD_SCAN):
-            fh.seek(max(0, self._size - tail_size))
-            tail = fh.read(tail_size)
-            eocd_off = self._find_eocd(tail)
-            if eocd_off != -1:
-                break
-        else:
-            raise NotAZip("no end-of-central-directory record found")
+        eocd_off = self._find_eocd(data)
         (_, disk_no, cd_disk, _, total_entries, cd_size, cd_offset, _) = _EOCD.unpack_from(
-            tail, eocd_off
+            data, eocd_off
         )
         if disk_no != 0 or cd_disk != 0:
             raise NotAZip(f"{self.source}: multi-disk archives are not supported")
-        if cd_offset + cd_size > self._size:
+        if cd_offset + cd_size > len(data):
             raise TruncatedArchive(f"{self.source}: central directory extends past end of file")
-        # Only the end of the file bounds the records, not the declared size.
-        fh.seek(cd_offset)
-        data = fh.read()
 
         entries: dict[str, ZipEntry] = {}
-        pos = 0
+        pos = cd_offset
         for _ in range(total_entries):
             if pos + _CENTRAL.size > len(data):
                 raise TruncatedArchive(f"{self.source}: central directory record truncated")
             fields = _CENTRAL.unpack_from(data, pos)
             if fields[0] != CENTRAL_SIG:
                 raise TruncatedArchive(
-                    f"{self.source}: bad central directory signature at offset {cd_offset + pos}"
+                    f"{self.source}: bad central directory signature at offset {pos}"
                 )
             (_, _, _, _, method, _, _, crc, csize, usize,
              name_len, extra_len, comment_len, _, _, _, local_off) = fields
@@ -128,17 +115,16 @@ class ApkArchive:
         return entries
 
     @staticmethod
-    def _find_eocd(tail: bytes) -> int:
-        """Offset of the last record in `tail` whose comment ends by the end
-        of `tail` (the end of the file), or -1."""
-        pos = tail.rfind(struct.pack("<I", EOCD_SIG))
+    def _find_eocd(data: bytes) -> int:
+        scan_from = max(0, len(data) - _MAX_EOCD_SCAN)
+        pos = data.rfind(struct.pack("<I", EOCD_SIG), scan_from)
         while pos != -1:
-            if pos + _EOCD.size <= len(tail):
-                comment_len = struct.unpack_from("<H", tail, pos + 20)[0]
-                if pos + _EOCD.size + comment_len <= len(tail):
+            if pos + _EOCD.size <= len(data):
+                comment_len = struct.unpack_from("<H", data, pos + 20)[0]
+                if pos + _EOCD.size + comment_len <= len(data):
                     return pos
-            pos = tail.rfind(struct.pack("<I", EOCD_SIG), 0, pos)
-        return -1
+            pos = data.rfind(struct.pack("<I", EOCD_SIG), scan_from, pos)
+        raise NotAZip("no end-of-central-directory record found")
 
     def _read_entry(self, entry: ZipEntry) -> bytes:
         if entry.uncompressed_size > MAX_ENTRY_BYTES:
@@ -146,34 +132,47 @@ class ApkArchive:
                 f"{self.source}: {entry.name!r} declares {entry.uncompressed_size} bytes, "
                 f"more than the {MAX_ENTRY_BYTES}-byte limit"
             )
+        data = self._data
         pos = entry.local_header_offset
-        if pos + _LOCAL.size > self._size:
+        if pos + _LOCAL.size > len(data):
             raise TruncatedArchive(f"{self.source}: local header of {entry.name!r} truncated")
-        with self._open() as fh:
-            fh.seek(pos)
-            fields = _LOCAL.unpack(fh.read(_LOCAL.size))
-            if fields[0] != LOCAL_SIG:
-                raise TruncatedArchive(
-                    f"{self.source}: bad local header signature for {entry.name!r}"
-                )
-            name_len, extra_len = fields[9], fields[10]
-            payload_start = pos + _LOCAL.size + name_len + extra_len
-            if payload_start + entry.compressed_size > self._size:
-                raise TruncatedArchive(f"{self.source}: payload of {entry.name!r} truncated")
-            fh.seek(payload_start)
-            payload = fh.read(entry.compressed_size)
+        fields = _LOCAL.unpack_from(data, pos)
+        if fields[0] != LOCAL_SIG:
+            raise TruncatedArchive(
+                f"{self.source}: bad local header signature for {entry.name!r}"
+            )
+        name_len, extra_len = fields[9], fields[10]
+        payload_start = pos + _LOCAL.size + name_len + extra_len
+        payload_end = payload_start + entry.compressed_size
+        if payload_end > len(data):
+            raise TruncatedArchive(f"{self.source}: payload of {entry.name!r} truncated")
 
         if entry.method == 0:
-            out = payload
+            # A stored payload is the entry itself, so the limit holds for it.
+            if entry.compressed_size > MAX_ENTRY_BYTES:
+                raise EntryTooLarge(
+                    f"{self.source}: {entry.name!r} stores {entry.compressed_size} bytes, "
+                    f"more than the {MAX_ENTRY_BYTES}-byte limit"
+                )
+            out = data[payload_start:payload_end]
         elif entry.method == 8:
+            # One byte past the declared size is enough to detect a stream
+            # that inflates to more than its header says.
+            limit = entry.uncompressed_size + 1
+            inflater = zlib.decompressobj(-15)
+            parts, produced = [], 0
             try:
-                # One byte past the declared size is enough to detect a
-                # stream that inflates to more than its header says.
-                out = zlib.decompressobj(-15).decompress(payload, entry.uncompressed_size + 1)
+                for start in range(payload_start, payload_end, _INFLATE_CHUNK):
+                    chunk = data[start : min(start + _INFLATE_CHUNK, payload_end)]
+                    parts.append(inflater.decompress(chunk, limit - produced))
+                    produced += len(parts[-1])
+                    if inflater.eof or produced == limit:
+                        break
             except zlib.error as exc:
                 raise TruncatedArchive(
                     f"{self.source}: DEFLATE stream of {entry.name!r} is corrupt: {exc}"
                 ) from exc
+            out = b"".join(parts)
             if len(out) != entry.uncompressed_size:
                 raise TruncatedArchive(
                     f"{self.source}: {entry.name!r} inflated to {len(out)} bytes, "
@@ -189,5 +188,13 @@ class ApkArchive:
 
 
 def open_apk(path) -> ApkArchive:
-    """Open an APK (ZIP) file and index its central directory."""
-    return ApkArchive(None, source=str(path))
+    """Open an APK (ZIP) file and index its central directory.
+
+    The file is mapped rather than read, so opening it and reading one entry
+    load the pages of the end-of-central-directory record, the central
+    directory and that entry, whatever the size of the file."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return ApkArchive(b"", source=str(path))
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return ApkArchive(data, source=str(path))

@@ -191,21 +191,65 @@ def shift_offsets(blob: bytes, prefix: int) -> bytes:
     return bytes(patched)
 
 
-@pytest.mark.parametrize("prefix_mib", [1, 256])
-def test_open_apk_reads_in_memory_bounded_by_the_archive(tmp_path, prefix_mib):
-    # A sparse file: a large hole of zeros, then a valid archive.  What is
-    # read stays the same whatever the size of the hole.
-    payload = bytes(range(256)) * 64
-    blob = build_zip([("AndroidManifest.xml", payload, 8)])
-    prefix = prefix_mib * 1024 * 1024
+def hole_before(blob: bytes, hole: int) -> tuple[bytes, bytes]:
+    """A valid archive after `hole` zero bytes, its offsets moved on."""
+    return b"", shift_offsets(blob, hole)
+
+
+def split_payload_from_directory(blob: bytes, hole: int) -> tuple[bytes, bytes]:
+    """A one-entry archive cut after its payload, its central directory
+    moved `hole` bytes on and counting the gap as part of the payload."""
+    eocd_at = blob.rfind(b"PK\x05\x06")
+    cd_offset = struct.unpack_from("<I", blob, eocd_at + 16)[0]
+    tail = bytearray(blob[cd_offset:])
+    csize = struct.unpack_from("<I", tail, 20)[0]
+    struct.pack_into("<I", tail, 20, csize + hole)  # compressed size
+    struct.pack_into("<I", tail, eocd_at - cd_offset + 16, cd_offset + hole)
+    return blob[:cd_offset], bytes(tail)
+
+
+def directory_in_the_hole(blob: bytes, hole: int) -> tuple[bytes, bytes]:
+    """A valid archive after `hole` zero bytes, its end record pointing an
+    empty central directory at offset 0."""
+    tail = bytearray(shift_offsets(blob, hole))
+    eocd_at = tail.rfind(b"PK\x05\x06")
+    struct.pack_into("<II", tail, eocd_at + 12, 0, 0)  # directory size and offset
+    return b"", bytes(tail)
+
+
+MANIFEST_PAYLOAD = bytes(range(256)) * 64
+MiB = 1024 * 1024
+
+
+@pytest.mark.parametrize(
+    "method, layout, hole, outcome",
+    [
+        (8, hole_before, 1 * MiB, MANIFEST_PAYLOAD),
+        (8, hole_before, 256 * MiB, MANIFEST_PAYLOAD),
+        (8, directory_in_the_hole, 256 * MiB, TruncatedArchive),
+        (0, split_payload_from_directory, 256 * MiB, EntryTooLarge),
+        (8, split_payload_from_directory, 256 * MiB, MANIFEST_PAYLOAD),
+    ],
+    ids=["prefix-1MiB", "prefix-256MiB", "directory-offset-0", "stored-size", "deflate-size"],
+)
+def test_open_apk_reads_in_memory_bounded_by_the_archive(tmp_path, method, layout, hole, outcome):
+    # A sparse file with a large hole of zeros.  What is read stays the
+    # same whatever the size of the hole, also when the declared offsets
+    # and sizes span it.  A DEFLATE stream that ends early is still the
+    # entry.
+    head, tail = layout(build_zip([("AndroidManifest.xml", MANIFEST_PAYLOAD, method)]), hole)
     path = tmp_path / "sparse.apk"
     with open(path, "wb") as fh:
-        fh.seek(prefix)
-        fh.write(shift_offsets(blob, prefix))
+        fh.write(head)
+        fh.seek(len(head) + hole)
+        fh.write(tail)
     tracemalloc.start()
     try:
-        archive = open_apk(path)
-        assert archive.read("AndroidManifest.xml") == payload
+        if isinstance(outcome, bytes):
+            assert open_apk(path).read("AndroidManifest.xml") == outcome
+        else:
+            with pytest.raises(outcome):
+                open_apk(path).read("AndroidManifest.xml")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

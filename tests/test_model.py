@@ -28,6 +28,8 @@ from botgrid.nn.model import (
     save_model,
 )
 
+from conv_reference import computing_every_output
+
 TABLE_SHAPES = [
     (41, 41, 32),
     (20, 20, 32),
@@ -239,14 +241,6 @@ def test_threaded_inference_matches_serial():
 
 def conv_extents(model):
     return [layer.extent for layer in model.layers if isinstance(layer, Conv2D)]
-
-
-def computing_every_output(model):
-    """The model with every conv computing its whole output."""
-    for layer in model.layers:
-        if isinstance(layer, Conv2D):
-            layer.extent = None
-    return model
 
 
 def test_each_conv_computes_only_what_a_later_layer_reads():

@@ -24,6 +24,8 @@ from botgrid.training import (
 )
 from botgrid.vocabulary import PermissionVocabulary
 
+from conv_reference import computing_every_output
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
@@ -175,14 +177,6 @@ def test_train_step_without_repeats_is_bitwise_the_full_batch():
         assert p.tobytes() == q.tobytes()
 
 
-def _full_computation(model):
-    """The model with every conv computing its whole output."""
-    for layer in model.layers:
-        if isinstance(layer, Conv2D):
-            layer.extent = None
-    return model
-
-
 def _distinct_images(n):
     v = np.random.default_rng(23).random((8, n)) < 0.4
     return (1.0 - v[:, :, None] * v[:, None, :])[..., None], np.array([1, 0, 0, 1, 1, 0, 1, 0])
@@ -194,7 +188,7 @@ def test_unread_conv_outputs_get_exactly_zero_gradient():
     model = build_reference_model(seed=9, dtype=np.float64)
     convs = {i: layer for i, layer in enumerate(model.layers) if isinstance(layer, Conv2D)}
     extents = {i: conv.extent for i, conv in convs.items()}
-    _full_computation(model)
+    computing_every_output(model)
     upstream = {}
     for i, conv in convs.items():
         def recording(grad, i=i, backward=conv.backward, **kwargs):
@@ -215,7 +209,7 @@ def test_unread_conv_outputs_get_exactly_zero_gradient():
 def test_train_step_matches_the_full_computation(n):
     images, labels = _distinct_images(n)
     model = build_reference_model(seed=9, n=n, dtype=np.float64)
-    full = _full_computation(build_reference_model(seed=9, n=n, dtype=np.float64))
+    full = computing_every_output(build_reference_model(seed=9, n=n, dtype=np.float64))
     got = train_step(model, images, labels, Adam())
     want = train_step(full, images, labels, Adam())
     assert got[1].tobytes() == want[1].tobytes()
