@@ -15,9 +15,24 @@ layer's only per-call state is the cache for the backward pass, recorded
 when train=True and owning the arrays it holds.  Inference writes no
 layer state, so it may run between a training forward and its backward,
 and one model may serve concurrent calls.
+
+A conv runs its independent GEMMs on two cores: the calling thread and
+one helper thread that the whole process shares.  Forward splits a large
+enough batch into two halves of whole images, and backward makes the
+weight gradient beside the input gradient.  Every GEMM keeps the rows
+and operands it would have without the helper, so results do not depend
+on scheduling or on the CPU count.  A process whose share of the CPUs
+is one (one of cross_validate's fold workers on a two-CPU host) runs
+both halves itself.  A dense layer runs its GEMM in zero-padded tiles of
+a fixed row count, so a row gets the same bits whatever else its batch
+holds.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -29,6 +44,70 @@ from ..errors import ShapeMismatch
 # while in cache.  No tile drops below half of it: BLAS can round a GEMM of
 # a handful of rows differently from the whole batch's.
 BACKWARD_TILE_ROWS = 800
+# Conv2D.forward splits its batch into two halves of whole images only when
+# each half has at least this many im2col rows, for the same reason.
+SPLIT_MIN_ROWS = BACKWARD_TILE_ROWS // 2
+# Dense.forward runs its GEMM in zero-padded tiles of this many rows, so a
+# row gets the same bits whatever else its batch holds: OpenBLAS rounds a
+# float32 GEMM of 1-3 rows, and a float64 GEMM of almost any size, by its
+# row count, while it rounds each row of a 4-row tile alike.
+DENSE_TILE_ROWS = 4
+
+# The one helper thread of the process, started on first use.  A forked
+# child (cross_validate's fold workers) inherits the executor but not its
+# thread, so it forgets the parent's and starts its own.
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+# How many processes doing the same work share this one's CPUs.  A fold
+# worker that gets no spare CPU as its share leaves the helper unstarted:
+# there its thread only contends with the sibling workers.
+_processes_sharing = 1
+
+
+def _sharing_cpus(processes: int, fn, *args):
+    """fn(*args) in one of `processes` processes that share these CPUs."""
+    global _processes_sharing
+    before, _processes_sharing = _processes_sharing, processes
+    try:
+        return fn(*args)
+    finally:
+        _processes_sharing = before
+
+
+def _forget_helper() -> None:
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parallel(first, second):
+    """(first(), second()), with first run on the helper thread while this
+    thread runs second; numpy's GEMMs and large copies release the GIL, so
+    they overlap.  Both run here when the process's share of the CPUs it
+    may use is one CPU.  Returns or raises only once neither is running."""
+    global _helper
+    with _helper_lock:
+        if _helper is None and _usable_cpus() // _processes_sharing > 1:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="botgrid-conv")
+        helper = _helper
+    if helper is None:
+        return first(), second()
+    future = helper.submit(first)
+    try:
+        second_result = second()
+    finally:
+        wait([future])
+    return future.result(), second_result
 
 
 def _relu_std(relu: bool, fan_in: int) -> float:
@@ -103,11 +182,24 @@ class Conv2D:
         windows = np.lib.stride_tricks.as_strided(
             xp, (n, eh, ew, kh, kw, cin), (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False
         )
-        cols2 = np.ascontiguousarray(windows).reshape(n * eh * ew, kh * kw * cin)
-        y2 = cols2 @ self.weights.reshape(kh * kw * cin, self.out_channels)
-        y2 += self.bias
-        if self.relu:
-            np.maximum(y2, 0, out=y2)
+        weights2 = self.weights.reshape(kh * kw * cin, self.out_channels)
+        cols2 = np.empty((n * eh * ew, kh * kw * cin), dtype=xp.dtype)
+        y2 = np.empty((n * eh * ew, self.out_channels), np.result_type(cols2, weights2))
+
+        def images(lo: int, hi: int) -> None:
+            # the same GEMM rows as one whole-batch GEMM, in the same bits
+            cols, y = cols2[lo * eh * ew : hi * eh * ew], y2[lo * eh * ew : hi * eh * ew]
+            np.copyto(cols.reshape(hi - lo, eh, ew, kh, kw, cin), windows[lo:hi])
+            np.matmul(cols, weights2, out=y)
+            y += self.bias
+            if self.relu:
+                np.maximum(y, 0, out=y)
+
+        half = n // 2
+        if half * eh * ew >= SPLIT_MIN_ROWS:
+            _in_parallel(lambda: images(half, n), lambda: images(0, half))
+        else:
+            images(0, n)
         if train:
             mask = y2 > 0 if self.relu else None
             self._cache = (x.shape, (pad_top, pad_left), cols2, mask, (eh, ew))
@@ -134,27 +226,35 @@ class Conv2D:
             g = g * mask.reshape(g.shape)
         g2 = g.reshape(n * eh * ew, self.out_channels)
         self.grad_bias = g2.sum(axis=0)
-        self.grad_weights = (cols2.T @ g2).reshape(self.weights.shape)
+
+        def weight_gradient() -> np.ndarray:
+            return (cols2.T @ g2).reshape(self.weights.shape)
+
         if not need_input_grad:
+            self.grad_weights = weight_gradient()
             return None
 
-        weights_t = self.weights.reshape(kh * kw * cin, self.out_channels).T
-        g3 = g2.reshape(n, eh * ew, self.out_channels)
-        padded_h = max((out_h - 1) * sh + kh, h)
-        padded_w = max((out_w - 1) * sw + kw, w)
-        gxp = np.zeros((n, padded_h, padded_w, cin), dtype=grad.dtype)
-        tiles = max(1, n * eh * ew // BACKWARD_TILE_ROWS)
-        for t in range(tiles):
-            lo, hi = n * t // tiles, n * (t + 1) // tiles
-            gcols = g3[lo:hi].reshape(-1, self.out_channels) @ weights_t
-            gcols = gcols.reshape(hi - lo, eh, ew, kh, kw, cin)
-            tile = gxp[lo:hi]
-            for i in range(kh):
-                for j in range(kw):
-                    tile[
-                        :, i : i + (eh - 1) * sh + 1 : sh, j : j + (ew - 1) * sw + 1 : sw, :
-                    ] += gcols[:, :, :, i, j, :]
-        return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w, :]
+        def input_gradient() -> np.ndarray:
+            weights_t = self.weights.reshape(kh * kw * cin, self.out_channels).T
+            g3 = g2.reshape(n, eh * ew, self.out_channels)
+            padded_h = max((out_h - 1) * sh + kh, h)
+            padded_w = max((out_w - 1) * sw + kw, w)
+            gxp = np.zeros((n, padded_h, padded_w, cin), dtype=grad.dtype)
+            tiles = max(1, n * eh * ew // BACKWARD_TILE_ROWS)
+            for t in range(tiles):
+                lo, hi = n * t // tiles, n * (t + 1) // tiles
+                gcols = g3[lo:hi].reshape(-1, self.out_channels) @ weights_t
+                gcols = gcols.reshape(hi - lo, eh, ew, kh, kw, cin)
+                tile = gxp[lo:hi]
+                for i in range(kh):
+                    for j in range(kw):
+                        tile[
+                            :, i : i + (eh - 1) * sh + 1 : sh, j : j + (ew - 1) * sw + 1 : sw, :
+                        ] += gcols[:, :, :, i, j, :]
+            return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w, :]
+
+        self.grad_weights, grad_input = _in_parallel(weight_gradient, input_gradient)
+        return grad_input
 
     def params(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
@@ -255,7 +355,10 @@ class Dense:
         x2 = x.reshape(n, -1)
         if x2.shape[1] != self.in_features:
             raise ShapeMismatch(f"dense expects {self.in_features} inputs, got {x.shape}")
-        y = x2 @ self.weights + self.bias
+        tiles = np.zeros((-(-n // DENSE_TILE_ROWS) * DENSE_TILE_ROWS, self.in_features), x2.dtype)
+        tiles[:n] = x2
+        y = tiles.reshape(-1, DENSE_TILE_ROWS, self.in_features) @ self.weights
+        y = y.reshape(-1, self.out_features)[:n] + self.bias
         mask = None
         if self.relu:
             mask = y > 0

@@ -10,10 +10,10 @@ split so the held-out fold cannot influence the image axes; set
 vocab_from_all to rank permissions over the whole corpus instead.
 
 Inference forwards each distinct image once, in even chunks of at most
-EVAL_BATCH rows.  In float32, a forward of 4 or more rows gives the same
-bits whatever else the batch holds; a call with 1-3 distinct images can
-differ in the last bits from the first Dense layer on, as batch-1 predict
-does.  A float64 forward can differ in the last bits at any batch size.
+EVAL_BATCH rows.  A forward gives each row the same bits whatever else
+its batch holds, in either dtype, so batch-1 predict and evaluate agree
+on every sample; a conv's split across the helper thread (see nn.layers)
+changes no bits either.
 
 Training, likewise, forwards and backpropagates each distinct (image,
 label) row of a batch once, with the summed loss gradient of its copies;
@@ -51,12 +51,14 @@ from .errors import EmptyCorpus, EmptyDataset, NonFiniteLoss
 from .folds import FoldPlan, make_folds
 from .manifest import PermissionSet, read_permissions
 from .metrics import ConfusionCounts, EvalMetrics, compute_metrics
+from .nn.layers import _sharing_cpus
 from .nn.loss import bce_loss
 from .nn.model import CnnModel, build_reference_model
 from .nn.optim import Adam
 from .vocabulary import PermissionVocabulary
 
-# Picked by a sweep of 16, 32 and 64 on the score workload.
+# Picked by a sweep of 16, 32 and 64 on the score workload, for speed
+# alone: a row's output has the same bits at any chunk size.
 EVAL_BATCH = 16
 
 
@@ -217,9 +219,7 @@ def evaluate(model: CnnModel, tensors: np.ndarray, labels: np.ndarray) -> EvalMe
     """Argmax predictions scored with botnet as the positive class.
 
     Each distinct image is forwarded once, in even chunks of at most
-    EVAL_BATCH rows: exact in float32 for chunks of 4 rows or more, while
-    fewer than 4 distinct images can differ in the last bits from the first
-    Dense layer on, as batch-1 predict does.
+    EVAL_BATCH rows; a row's output has the same bits at any chunk size.
     """
     labels = np.asarray(labels)
     if len(tensors) == 0:
@@ -363,8 +363,9 @@ def cross_validate(
 
     run = partial(_run_fold, corpus=corpus, plan=plan, config=config, shared_vocab=shared_vocab)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, config.k)) as pool:
-            fold_results = list(pool.map(run, range(config.k)))
+        workers = min(jobs, config.k)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            fold_results = list(pool.map(partial(_sharing_cpus, workers, run), range(config.k)))
     else:
         fold_results = list(map(run, range(config.k)))
 

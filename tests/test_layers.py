@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -140,15 +142,16 @@ def test_conv_gather_is_exact(kernel, stride, cin):
 
 def untiled_input_gradient(layer, grad):
     """The whole batch's im2col gradient, scattered window slot by slot."""
-    x_shape, (pad_top, pad_left), _, mask, (oh, ow) = layer._cache
+    x_shape, (pad_top, pad_left), _, mask, (eh, ew) = layer._cache
     n, h, w, cin = x_shape
     (kh, kw), (sh, sw) = layer.kernel, layer.stride
-    g2 = grad.reshape(-1, layer.out_channels) * mask
-    gcols = (g2 @ layer.weights.reshape(-1, layer.out_channels).T).reshape(n, oh, ow, kh, kw, cin)
+    oh, ow = grad.shape[1:3]
+    g2 = grad[:, :eh, :ew].reshape(-1, layer.out_channels) * mask
+    gcols = (g2 @ layer.weights.reshape(-1, layer.out_channels).T).reshape(n, eh, ew, kh, kw, cin)
     gxp = np.zeros((n, max((oh - 1) * sh + kh, h), max((ow - 1) * sw + kw, w), cin), grad.dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw] += gcols[
+            gxp[:, i : i + (eh - 1) * sh + 1 : sh, j : j + (ew - 1) * sw + 1 : sw] += gcols[
                 :, :, :, i, j
             ]
     return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w]
@@ -174,6 +177,75 @@ def test_conv_tiled_input_gradient_is_exact(shape, stride, dtype):
         want = untiled_input_gradient(layer, grad)
         assert layer.backward(grad).tobytes() == want.tobytes()
     assert 33 * 10 * 10 // layers.BACKWARD_TILE_ROWS > 1
+
+
+def whole_batch_conv(layer, x, grad):
+    """A ReLU conv's output and weight and bias gradients, each from one
+    GEMM over the whole batch's im2col rows, as if nothing were split."""
+    cols, (n, oh, ow) = im2col_reference(x, layer.kernel, layer.stride)
+    eh, ew = layer.extent or (oh, ow)
+    cols = cols.reshape(n, oh, ow, -1)[:, :eh, :ew].reshape(n * eh * ew, -1)
+    y2 = np.maximum(cols @ layer.weights.reshape(-1, layer.out_channels) + layer.bias, 0)
+    y = np.zeros((n, oh, ow, layer.out_channels), x.dtype)
+    y[:, :eh, :ew] = y2.reshape(n, eh, ew, -1)
+    g2 = grad[:, :eh, :ew].reshape(-1, layer.out_channels) * (y2 > 0)
+    return y, (cols.T @ g2).reshape(layer.weights.shape), g2.sum(axis=0)
+
+
+def inline_runner(monkeypatch):
+    """Run both halves of every split on the calling thread; count splits."""
+    splits = []
+
+    def in_line(first, second):
+        splits.append(1)
+        return first(), second()
+
+    monkeypatch.setattr(layers, "_in_parallel", in_line)
+    return splits
+
+
+@pytest.mark.parametrize("runner", ["helper", "inline"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "shape", [(20, 20, 8, 16, (5, 5), None), (12, 12, 64, 128, (1, 1), None),
+              (21, 21, 4, 8, (3, 3), (10, 9))]
+)
+def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypatch):
+    # Equal bytes: each half of a split forward, and the weight gradient run
+    # beside the input gradient, keep the whole batch's GEMM rows and sums,
+    # whether the halves run on the helper thread or one after the other.
+    h, w, cin, cout, kernel, extent = shape
+    splits = inline_runner(monkeypatch) if runner == "inline" else []
+    rng = np.random.default_rng(19)
+    layer = Conv2D(cin, cout, kernel, stride, rng=rng, dtype=dtype, extent=extent)
+    layer.bias = rng.standard_normal(cout).astype(dtype)
+    split_batches = []
+    for n in (1, 2, 3, 5, 16, 17, 32, 33):
+        x = rng.standard_normal((n, h, w, cin)).astype(dtype)
+        before = len(splits)
+        y = layer.forward(x, train=True)
+        split_batches.append(len(splits) > before)
+        assert layer.forward(x).tobytes() == y.tobytes()
+        grad = rng.standard_normal(y.shape).astype(dtype)
+        grad_input = layer.backward(grad)
+        want_y, want_gw, want_gb = whole_batch_conv(layer, x, grad)
+        assert y.tobytes() == want_y.tobytes()
+        assert layer.grad_weights.tobytes() == want_gw.tobytes()
+        assert layer.grad_bias.tobytes() == want_gb.tobytes()
+        assert grad_input.tobytes() == untiled_input_gradient(layer, grad).tobytes()
+    if runner == "inline":  # batch 33 splits every geometry here, batch 1 none
+        assert split_batches[-1] and not split_batches[0]
+
+
+def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):
+    # as each of cross_validate's two fold workers on a two-CPU host does
+    monkeypatch.setattr(layers, "_helper", None)
+    monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
+    here = threading.get_ident()
+    got = layers._sharing_cpus(2, layers._in_parallel, threading.get_ident, threading.get_ident)
+    assert got == (here, here) and layers._helper is None
+    assert layers._processes_sharing == 1
 
 
 def test_conv_extent_computes_only_the_top_left():

@@ -208,22 +208,26 @@ def test_interleaved_inference_leaves_gradients_unchanged():
         assert np.array_equal(g_expected, g_got)
 
 
-def test_forward_is_batch_invariant_from_four_rows():
-    # evaluate forwards distinct images in chunks and relies on this: any
-    # forward of 4 or more rows gives each row the bits of a whole-batch one
-    model = build_reference_model(seed=3)
-    rng = np.random.default_rng(2)
-    v = (rng.random((30, 41)) < 0.3).astype(np.float32)
-    v = np.concatenate([v, v[rng.integers(0, 30, 10)]])
-    images = (1 - v[:, :, None] * v[:, None, :])[..., None]
-    whole = model.forward(images)
-    for size in (4, 5, 16):
-        chunked = np.concatenate(
-            [model.forward(images[i : i + size]) for i in range(0, len(images), size)]
-        )
-        assert chunked.tobytes() == whole.tobytes()
-    order = rng.permutation(len(images))
-    assert model.forward(images[order]).tobytes() == whole[order].tobytes()
+def test_forward_is_batch_invariant():
+    # evaluate forwards distinct images in chunks and predict one at a time,
+    # and both rely on this: any forward gives each row the bits of a
+    # whole-batch one, in either dtype
+    for dtype in (np.float32, np.float64):
+        model = build_reference_model(seed=3, dtype=dtype)
+        rng = np.random.default_rng(2)
+        v = (rng.random((30, 41)) < 0.3).astype(dtype)
+        v = np.concatenate([v, v[rng.integers(0, 30, 10)]])
+        images = (1 - v[:, :, None] * v[:, None, :])[..., None]
+        whole = model.forward(images)
+        for size in (1, 2, 3, 4, 5, 16):
+            chunked = np.concatenate(
+                [model.forward(images[i : i + size]) for i in range(0, len(images), size)]
+            )
+            assert chunked.tobytes() == whole.tobytes()
+        for m in range(1, len(images)):
+            assert model.forward(images[:m]).tobytes() == whole[:m].tobytes()
+        order = rng.permutation(len(images))
+        assert model.forward(images[order]).tobytes() == whole[order].tobytes()
 
 
 def test_threaded_inference_matches_serial():

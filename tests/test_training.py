@@ -1,13 +1,19 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import botgrid
 from botgrid import training
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
-from botgrid.nn import Adam, bce_loss, build_reference_model
+from botgrid.nn import Adam, bce_loss, build_reference_model, layers
 from botgrid.nn.layers import Conv2D
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import (
@@ -220,6 +226,24 @@ def test_train_step_matches_the_full_computation(n):
             np.testing.assert_allclose(p, q, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [32, 23])
+def test_train_step_is_bitwise_the_unsplit_computation(batch, dtype, monkeypatch):
+    v = np.random.default_rng(batch).random((batch, 41)) < 0.3
+    images = (1.0 - v[:, :, None] * v[:, None, :])[..., None].astype(dtype)
+    labels = np.arange(batch) % 2
+    split = build_reference_model(seed=9, dtype=dtype)
+    got = train_step(split, images, labels, Adam())
+    # every conv as one GEMM per operand on the calling thread
+    monkeypatch.setattr(layers, "SPLIT_MIN_ROWS", sys.maxsize)
+    monkeypatch.setattr(layers, "_in_parallel", lambda first, second: (first(), second()))
+    whole = build_reference_model(seed=9, dtype=dtype)
+    want = train_step(whole, images, labels, Adam())
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    for p, q in zip(split.params(), whole.params()):
+        assert p.tobytes() == q.tobytes()
+
+
 def test_train_step_raises_on_non_finite():
     model = build_reference_model(seed=0)
     model.layers[0].weights[:] = np.nan
@@ -313,6 +337,30 @@ def test_predict_consistency_with_evaluate(small_corpus):
         assert 0.0 <= prob <= 1.0
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_predict_gives_the_bits_of_evaluates_forward(small_corpus, monkeypatch, dtype):
+    # batch-1 predict and evaluate's chunks of distinct images must agree on
+    # every sample's probability, to the last bit
+    records, corpus, vocab, _, labels = small_corpus
+    tensors, _ = encode_corpus(corpus.perm_sets, vocab, dtype=np.dtype(dtype))
+    model, _ = train(tensors, labels, TrainConfig(epochs=2, seed=7, vocab_size=16, dtype=dtype))
+    seen = {}
+    forward = model.forward
+
+    def recording_forward(batch, train=False):
+        out = forward(batch, train)
+        seen.update((image.tobytes(), row[1]) for image, row in zip(batch, out))
+        return out
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    evaluate(model, tensors, labels)
+    monkeypatch.undo()
+    assert 4 < len(seen) < len(tensors)
+    for record, image in zip(records, tensors):
+        _, prob = predict(model, vocab, record.path, record.kind)
+        assert prob == float(seen[image.tobytes()])
+
+
 def test_predict_accepts_empty_permission_set(tmp_path, small_corpus):
     _, _, vocab, tensors, labels = small_corpus
     cfg = TrainConfig(epochs=1, seed=5, vocab_size=16)
@@ -338,6 +386,43 @@ def test_cross_validate_two_folds(small_corpus):
     for fr in result.folds:
         assert not set(fr.test_paths) & set(fr.train_paths)
         assert set(fr.vocab_paths) <= set(fr.train_paths)
+
+
+FOLD_WORKERS_AFTER_HELPER = """
+import sys
+import numpy as np
+from botgrid.nn import layers
+from botgrid.synth import SynthSpec, generate_synthetic_corpus
+from botgrid.training import TrainConfig, cross_validate
+
+# start the helper even on a one-CPU host, and in each of two fold workers
+layers._usable_cpus = lambda: 4
+layers.Conv2D(1, 4, (3, 3)).forward(np.ones((8, 20, 20, 1)))
+assert layers._helper is not None
+spec = SynthSpec(n_botnet=12, n_benign=12, pool_size=20, noise_rate=0.2, seed=3)
+records = generate_synthetic_corpus(spec, sys.argv[1])
+result = cross_validate(records, TrainConfig(epochs=1, k=2, seed=1, vocab_size=16), jobs=2)
+print(len(result.folds))
+"""
+
+
+def test_fold_workers_fork_after_the_helper_thread_started(tmp_path):
+    # A forked fold worker inherits the conv helper's executor but not its
+    # thread: unless the fork resets it, the worker's first conv waits forever.
+    # In its own session, so that a hang kills the stuck workers too.
+    with subprocess.Popen(
+        [sys.executable, "-c", FOLD_WORKERS_AFTER_HELPER, str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=Path(botgrid.__file__).resolve().parents[1], start_new_session=True,
+    ) as run:
+        try:
+            out, err = run.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            pytest.fail("cross_validate's fold workers hung")
+    assert run.returncode == 0, err
+    assert out.split() == ["2"]
 
 
 def test_cross_validate_determinism(small_corpus):
