@@ -12,6 +12,12 @@ after one bounds check against the declared chunk sizes, and every
 variable-length read is checked the same way.  So arbitrary input either
 parses or fails with one of the declared errors; it never reads out of
 bounds or allocates proportionally to a forged length field.
+
+Memory stays proportional to the input too.  A pool string is decoded
+once however many indices point at its offset, and a pool whose strings
+overlap, so that they decode to more bytes than its data region holds,
+is rejected.  The attribute keys built as "{namespace}name" may total at
+most KEY_CHARS_PER_BYTE characters per input byte.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from __future__ import annotations
 import struct
 import xml.etree.ElementTree as ET
 
-from .errors import BadMagic, BadStringIndex, TruncatedChunk, UnbalancedElements
+from .errors import (
+    BadMagic,
+    BadStringIndex,
+    OversizedStrings,
+    TruncatedChunk,
+    UnbalancedElements,
+)
 
 RES_STRING_POOL_TYPE = 0x0001
 RES_XML_TYPE = 0x0003
@@ -49,6 +61,10 @@ _START_ELEMENT = struct.Struct("<IIHHH6x")
 # data type, data
 _ATTRIBUTE = struct.Struct("<IIIxxxBI")
 _END_ELEMENT = struct.Struct("<4xI")  # namespace (skipped), name
+
+# The attribute keys of one document may total this many characters per
+# byte of input.  The manifests perfbench and the tests write reach 0.49.
+KEY_CHARS_PER_BYTE = 16
 
 
 def is_axml(data: bytes) -> bool:
@@ -84,26 +100,39 @@ class _StringPool:
         self._end = min(end, chunk_start + chunk_size)
         if self._base > self._end:
             raise TruncatedChunk("string data region starts past pool chunk end")
-        self._cache: dict[int, str] = {}
+        self._cache: dict[int, str] = {}  # by offset in data
+        # bytes of the data region that strings not yet decoded may span
+        self._room = self._end - self._base
 
     def get(self, index: int) -> str:
-        if index in self._cache:
-            return self._cache[index]
-        if index >= self.string_count:
-            raise BadStringIndex(f"string index {index} out of range ({self.string_count})")
         try:
-            s = self._decode(self._base + self._offsets[index])
+            at = self._base + self._offsets[index]
+        except IndexError:
+            raise BadStringIndex(
+                f"string index {index} out of range ({self.string_count})"
+            ) from None
+        if at in self._cache:
+            return self._cache[at]
+        try:
+            s, end = self._decode(at)
         except (struct.error, IndexError) as exc:
             raise BadStringIndex(f"string {index} lies outside the pool data") from exc
-        self._cache[index] = s
+        self._room -= end - at
+        if self._room < 0:
+            raise OversizedStrings(
+                f"string {index} overlaps others: the strings span more than "
+                f"the pool's {self._end - self._base}-byte data region"
+            )
+        self._cache[at] = s
         return s
 
-    def _decode(self, at: int) -> str:
+    def _decode(self, at: int) -> tuple[str, int]:
+        """The string whose length field starts at `at`, and its end."""
         if self.is_utf8:
             return self._decode_utf8(at)
         return self._decode_utf16(at)
 
-    def _decode_utf16(self, at: int) -> str:
+    def _decode_utf16(self, at: int) -> tuple[str, int]:
         # u16 char count; high bit extends the length with a second word.
         if at + 2 > self._end:
             raise BadStringIndex("UTF-16 length field out of bounds")
@@ -117,18 +146,18 @@ class _StringPool:
         if at + 2 * n > self._end:
             raise BadStringIndex("UTF-16 string data out of bounds")
         try:
-            return self._data[at : at + 2 * n].decode("utf-16-le")
+            return self._data[at : at + 2 * n].decode("utf-16-le"), at + 2 * n
         except UnicodeDecodeError as exc:
             raise BadStringIndex(f"undecodable UTF-16 string: {exc}") from exc
 
-    def _decode_utf8(self, at: int) -> str:
+    def _decode_utf8(self, at: int) -> tuple[str, int]:
         # Two varlen fields: UTF-16 char count (unused) then byte count.
         at = self._skip_utf8_len(at)
         nbytes, at = self._read_utf8_len(at)
         if at + nbytes > self._end:
             raise BadStringIndex("UTF-8 string data out of bounds")
         try:
-            return self._data[at : at + nbytes].decode("utf-8")
+            return self._data[at : at + nbytes].decode("utf-8"), at + nbytes
         except UnicodeDecodeError as exc:
             raise BadStringIndex(f"undecodable UTF-8 string: {exc}") from exc
 
@@ -189,6 +218,7 @@ def parse_axml(data: bytes) -> ET.Element:
     root: ET.Element | None = None
     stack: list[ET.Element] = []
     ns_depth = 0
+    key_budget = KEY_CHARS_PER_BYTE * len(data)
 
     while pos < limit:
         ctype, chsize, csize = _unpack(_CHUNK_HEADER, data, pos, limit)
@@ -214,7 +244,9 @@ def parse_axml(data: bytes) -> ET.Element:
                 raise UnbalancedElements("namespace end without a matching start")
             ns_depth -= 1
         elif ctype == RES_XML_START_ELEMENT:
-            element = _parse_start_element(data, pos, chsize, csize, pool)
+            element, key_budget = _parse_start_element(
+                data, pos, chsize, csize, pool, key_budget
+            )
             if stack:
                 stack[-1].append(element)
             elif root is None:
@@ -247,8 +279,10 @@ def parse_axml(data: bytes) -> ET.Element:
 
 
 def _parse_start_element(
-    data: bytes, start: int, header_size: int, chunk_size: int, pool: _StringPool
-) -> ET.Element:
+    data: bytes, start: int, header_size: int, chunk_size: int, pool: _StringPool,
+    key_budget: int,
+) -> tuple[ET.Element, int]:
+    """The element, and what is left of key_budget after building its keys."""
     limit = start + chunk_size
     ns_idx, name_idx, attr_start, attr_size, attr_count = _unpack(
         _START_ELEMENT, data, start + header_size, limit
@@ -281,5 +315,10 @@ def _parse_start_element(
             value = _format_typed_value(a_type, a_data, pool)
         attr_name = pool.get(a_name)
         key = f"{{{namespace}}}{attr_name}" if namespace else attr_name
+        key_budget -= len(key)
+        if key_budget < 0:
+            raise OversizedStrings(
+                f"attribute keys exceed {KEY_CHARS_PER_BYTE} characters per input byte"
+            )
         element.attrib.setdefault(key, value)
-    return element
+    return element, key_budget

@@ -4,17 +4,31 @@ A manifest lists one sample per row as path,label,kind.  Relative paths
 are resolved against the CSV's own directory so a corpus directory can
 be moved as a unit.  Per-record extraction failures are collected, not
 fatal; only a corpus with zero readable samples aborts the run.
+
+Reading is pure Python, so a second thread would not help, but a second
+process does.  When the process has a spare CPU (see cpus), a corpus of
+at least SPLIT_MIN_MANIFESTS manifests and APKs is read in two: a forked
+child reads every second record while the caller reads the rest, and the
+results are merged back in record order.  The corpus, its failures and
+the errors that escape are those of reading each record in turn,
+whatever the CPU count.  The caller forks only while its thread is the
+process's only one, after retiring the idle conv helper thread;
+otherwise it reads every record itself.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import cpus
 from .encoder import encode, normalize, out_of_vocabulary
 from .errors import AllSamplesFailed, BotgridError, EmptyDataset, ManifestCsvError
 from .manifest import KINDS, PermissionSet, read_permissions, read_text
@@ -23,6 +37,13 @@ from .vocabulary import PermissionVocabulary
 LABELS = ("benign", "botnet")  # class index order; botnet = positive class
 
 CSV_HEADER = ["path", "label", "kind"]
+
+# extract_corpus forks a second reader for a corpus that holds at least
+# this many manifests and APKs, twice the count of plaintext manifests (the
+# cheapest of them) whose reading pays for forking and starting the child.
+# Permission lists do not count: reading one costs less than sending it
+# back, so splitting a corpus of them lost at every size measured.
+SPLIT_MIN_MANIFESTS = 128
 
 
 @dataclass(frozen=True)
@@ -83,14 +104,21 @@ def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:
     """Run permission extraction over every record, isolating failures."""
     if not records:
         raise EmptyDataset("dataset manifest lists no samples")
+    if (
+        sum(record.kind != "permlist" for record in records) >= SPLIT_MIN_MANIFESTS
+        and hasattr(os, "fork")
+        and cpus.spare_cpu()
+        and cpus.single_threaded()
+    ):
+        results = _read_in_two_processes(records)
+    else:
+        results = _read_each(records)
     corpus = ExtractedCorpus([], [], [], [])
-    for record in records:
-        try:
-            perms = read_permissions(record.path, record.kind)
-        except (BotgridError, OSError, ValueError) as exc:
-            corpus.failures.append((record.path, f"{type(exc).__name__}: {exc}"))
+    for record, result in zip(records, results):
+        if isinstance(result, str):
+            corpus.failures.append((record.path, result))
             continue
-        corpus.perm_sets.append(perms)
+        corpus.perm_sets.append(result)
         corpus.labels.append(record.label)
         corpus.paths.append(record.path)
     if not corpus.perm_sets:
@@ -99,6 +127,56 @@ def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:
             f"first: {corpus.failures[0][1]}"
         )
     return corpus
+
+
+def _read_each(records: list[ManifestRecord]) -> list[PermissionSet | str]:
+    """Each record's permissions, or the reason it could not be read."""
+    results: list[PermissionSet | str] = []
+    for record in records:
+        try:
+            results.append(read_permissions(record.path, record.kind))
+        except (BotgridError, OSError, ValueError) as exc:
+            results.append(f"{type(exc).__name__}: {exc}")
+    return results
+
+
+def _read_in_two_processes(records: list[ManifestRecord]) -> list[PermissionSet | str]:
+    """_read_each(records), with a forked child reading every second record.
+
+    The child pickles its results into a pipe.  If it dies, or what it
+    wrote does not unpickle, this process reads the child's records itself,
+    so the results, and any exception that escapes, are _read_each's."""
+    theirs = records[1::2]
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never returns into the caller's code
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_read_each(theirs), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            ours = _read_each(records[0::2])
+            written = pipe.read()
+        try:
+            results = pickle.loads(written)
+        except (pickle.UnpicklingError, EOFError):
+            results = None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0 or results is None:
+        results = _read_each(theirs)
+    merged = [None] * len(records)
+    merged[0::2], merged[1::2] = ours, results
+    return merged
 
 
 def encode_corpus(

@@ -53,6 +53,12 @@ class MalformedXml(ParseError):
     pass
 
 
+class OversizedStrings(ParseError):
+    """An AXML's strings would decode to memory out of proportion to its
+    bytes: pool strings that overlap, or attribute keys that repeat a long
+    namespace."""
+
+
 # --- Vocabulary / corpus files ---
 
 class EmptyCorpus(BotgridError):

@@ -17,25 +17,22 @@ layer state, so it may run between a training forward and its backward,
 and one model may serve concurrent calls.
 
 A conv runs its independent GEMMs on two cores: the calling thread and
-one helper thread that the whole process shares.  Forward splits a large
-enough batch into two halves of whole images, and backward makes the
-weight gradient beside the input gradient.  Every GEMM keeps the rows
-and operands it would have without the helper, so results do not depend
-on scheduling or on the CPU count.  A process whose share of the CPUs
-is one (one of cross_validate's fold workers on a two-CPU host) runs
-both halves itself.  A dense layer runs its GEMM in zero-padded tiles of
-a fixed row count, so a row gets the same bits whatever else its batch
-holds.
+the one helper thread that the whole process shares (see cpus).
+Forward splits a large enough batch into two halves of whole images, and
+backward makes the weight gradient beside the input gradient.  Every
+GEMM keeps the rows and operands it would have without the helper, so
+results do not depend on scheduling or on the CPU count.  A process
+whose share of the CPUs is one (one of cross_validate's fold workers on
+a two-CPU host) runs both halves itself.  A dense layer runs its GEMM in
+zero-padded tiles of a fixed row count, so a row gets the same bits
+whatever else its batch holds.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 
+from ..cpus import in_parallel
 from ..errors import ShapeMismatch
 
 
@@ -52,62 +49,6 @@ SPLIT_MIN_ROWS = BACKWARD_TILE_ROWS // 2
 # float32 GEMM of 1-3 rows, and a float64 GEMM of almost any size, by its
 # row count, while it rounds each row of a 4-row tile alike.
 DENSE_TILE_ROWS = 4
-
-# The one helper thread of the process, started on first use.  A forked
-# child (cross_validate's fold workers) inherits the executor but not its
-# thread, so it forgets the parent's and starts its own.
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-# How many processes doing the same work share this one's CPUs.  A fold
-# worker that gets no spare CPU as its share leaves the helper unstarted:
-# there its thread only contends with the sibling workers.
-_processes_sharing = 1
-
-
-def _sharing_cpus(processes: int, fn, *args):
-    """fn(*args) in one of `processes` processes that share these CPUs."""
-    global _processes_sharing
-    before, _processes_sharing = _processes_sharing, processes
-    try:
-        return fn(*args)
-    finally:
-        _processes_sharing = before
-
-
-def _forget_helper() -> None:
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_parallel(first, second):
-    """(first(), second()), with first run on the helper thread while this
-    thread runs second; numpy's GEMMs and large copies release the GIL, so
-    they overlap.  Both run here when the process's share of the CPUs it
-    may use is one CPU.  Returns or raises only once neither is running."""
-    global _helper
-    with _helper_lock:
-        if _helper is None and _usable_cpus() // _processes_sharing > 1:
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="botgrid-conv")
-        helper = _helper
-    if helper is None:
-        return first(), second()
-    future = helper.submit(first)
-    try:
-        second_result = second()
-    finally:
-        wait([future])
-    return future.result(), second_result
 
 
 def _relu_std(relu: bool, fan_in: int) -> float:
@@ -197,7 +138,7 @@ class Conv2D:
 
         half = n // 2
         if half * eh * ew >= SPLIT_MIN_ROWS:
-            _in_parallel(lambda: images(half, n), lambda: images(0, half))
+            in_parallel(lambda: images(half, n), lambda: images(0, half))
         else:
             images(0, n)
         if train:
@@ -253,7 +194,7 @@ class Conv2D:
                         ] += gcols[:, :, :, i, j, :]
             return gxp[:, pad_top : pad_top + h, pad_left : pad_left + w, :]
 
-        self.grad_weights, grad_input = _in_parallel(weight_gradient, input_gradient)
+        self.grad_weights, grad_input = in_parallel(weight_gradient, input_gradient)
         return grad_input
 
     def params(self) -> list[np.ndarray]:

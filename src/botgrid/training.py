@@ -46,12 +46,12 @@ from .dataset import (
     extract_corpus,
     label_index,
 )
+from .cpus import sharing_cpus
 from .encoder import encode, normalize
 from .errors import EmptyCorpus, EmptyDataset, NonFiniteLoss
 from .folds import FoldPlan, make_folds
 from .manifest import PermissionSet, read_permissions
 from .metrics import ConfusionCounts, EvalMetrics, compute_metrics
-from .nn.layers import _sharing_cpus
 from .nn.loss import bce_loss
 from .nn.model import CnnModel, build_reference_model
 from .nn.optim import Adam
@@ -365,7 +365,7 @@ def cross_validate(
     if jobs > 1:
         workers = min(jobs, config.k)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fold_results = list(pool.map(partial(_sharing_cpus, workers, run), range(config.k)))
+            fold_results = list(pool.map(partial(sharing_cpus, workers, run), range(config.k)))
     else:
         fold_results = list(map(run, range(config.k)))
 

@@ -1,14 +1,17 @@
 import random
 import struct
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, strategies as st
 
 from botgrid.axml import is_axml, parse_axml
+from botgrid.cli import main
 from botgrid.errors import (
     BadMagic,
     BadStringIndex,
+    OversizedStrings,
     ParseError,
     TruncatedChunk,
     UnbalancedElements,
@@ -176,6 +179,91 @@ def test_bad_string_index():
     struct.pack_into("<I", blob, at + 20, 9999)
     with pytest.raises(BadStringIndex):
         parse_axml(bytes(blob))
+
+
+def raw_axml(offsets, string_data: bytes, attrs, utf8: bool = False) -> bytes:
+    """An AXML of one element named by pool string 0, whose pool is the given
+    offsets and string data as they are, and whose attributes are given as
+    (namespace, name, value) pool indices."""
+    no_index = 0xFFFFFFFF
+    pool_start = 28 + 4 * len(offsets)
+    pool = struct.pack(
+        "<HHIIIIII", 0x0001, 28, pool_start + len(string_data), len(offsets), 0,
+        0x100 if utf8 else 0, pool_start, 0,
+    ) + struct.pack(f"<{len(offsets)}I", *offsets) + string_data
+    body = struct.pack("<HHIII", 0x0102, 16, 36 + 20 * len(attrs), 1, no_index)
+    body += struct.pack("<IIHHHHHH", no_index, 0, 20, 20, len(attrs), 0, 0, 0)
+    for ns, name, value in attrs:
+        body += struct.pack("<IIIHBBI", ns, name, value, 8, 0, 0x03, value)
+    body += struct.pack("<HHIIIII", 0x0103, 16, 24, 1, no_index, no_index, 0)
+    return struct.pack("<HHI", 0x0003, 8, 8 + len(pool) + len(body)) + pool + body
+
+
+def utf16_string(s: str) -> bytes:
+    units = len(s.encode("utf-16-le")) // 2
+    head = struct.pack("<HH", 0x8000 | units >> 16, units & 0xFFFF) if units >= 0x8000 \
+        else struct.pack("<H", units)
+    return head + s.encode("utf-16-le") + b"\0\0"
+
+
+def peak_bytes_of(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+# A run of one 2-byte unit that reads, from any even offset into it, as a
+# length field followed by that many valid characters: 32,767 UTF-16 units
+# of U+7FFF, or 24,510 UTF-8 bytes of U+07FE.
+OVERLAP_RUNS = {"utf16": (b"\xff\x7f", 2 + 2 * 0x7FFF), "utf8": (b"\xdf\xbe", 4 + 0x5FBE)}
+
+
+@pytest.mark.parametrize("encoding", ["utf16", "utf8"])
+def test_overlapping_pool_strings_fail_in_bounded_memory(encoding, tmp_path):
+    # 200 strings start 2 bytes apart in one run, so each decodes to tens of
+    # KB from 26 bytes of input (an offset, an attribute and 2 bytes of run).
+    # Decoded one by one, they held 13.2 MB (UTF-16) for a 71 KB input.
+    unit, span = OVERLAP_RUNS[encoding]
+    name = utf16_string("m") if encoding == "utf16" else b"\x01\x01m\x00"
+    offsets = [0] + [len(name) + 2 * i for i in range(200)]
+    data = raw_axml(
+        offsets, name + unit * ((span + 2 * 200) // 2 + 1),
+        [(0xFFFFFFFF, 0, 1 + i) for i in range(200)], utf8=encoding == "utf8",
+    )
+    with pytest.raises(OversizedStrings, match="overlaps others"):
+        parse_axml(data)
+    assert peak_bytes_of(lambda: pytest.raises(OversizedStrings, parse_axml, data)) < 1_000_000
+    path = tmp_path / "bomb.bin"
+    path.write_bytes(data)
+    assert main(["extract", "--kind", "manifest", str(path)]) == 3
+
+
+def test_long_namespace_keys_fail_in_bounded_memory():
+    # 200 attributes under one 32,767-character namespace: each key repeats
+    # it, which held 6.6 MB for a 73 KB input.
+    strings = ["manifest", "x" * 0x7FFF] + [f"a{i}" for i in range(200)]
+    offsets, blob = [], b""
+    for s in strings:
+        offsets.append(len(blob))
+        blob += utf16_string(s)
+    data = raw_axml(offsets, blob, [(1, 2 + i, 2 + i) for i in range(200)])
+    with pytest.raises(OversizedStrings, match="characters per input byte"):
+        parse_axml(data)
+    assert peak_bytes_of(lambda: pytest.raises(OversizedStrings, parse_axml, data)) < 2_000_000
+
+
+def test_pool_indices_may_share_one_string():
+    # Indices that point at one offset decode it once and count its bytes once.
+    name, value = utf16_string("manifest"), utf16_string("v" * 1000)
+    offsets = [0] + [len(name)] * 40 + [len(name) + len(value) + 10 * i for i in range(40)]
+    names = b"".join(utf16_string(f"a{i:02d}") for i in range(40))
+    root = parse_axml(raw_axml(offsets, name + value + names,
+                               [(0xFFFFFFFF, 41 + i, 1 + i) for i in range(40)]))
+    assert root.attrib == {f"a{i:02d}": "v" * 1000 for i in range(40)}
 
 
 def test_is_axml_sniffing():

@@ -1,6 +1,17 @@
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import botgrid
+from botgrid import cpus, dataset
 from botgrid.dataset import (
     ManifestRecord,
     encode_corpus,
@@ -12,6 +23,9 @@ from botgrid.errors import AllSamplesFailed, EmptyDataset, InvalidSpec, Manifest
 from botgrid.manifest import read_permissions
 from botgrid.synth import SynthSpec, generate_synthetic_corpus, signature_permissions
 from botgrid.vocabulary import PermissionVocabulary
+
+from axml_writer import build_axml, permissions_manifest
+from zip_writer import build_zip
 
 
 def write_permlist(path, perms):
@@ -127,6 +141,200 @@ def test_ingest_composes_extract_and_encode(tmp_path):
         perms = read_permissions(record.path, record.kind)
         single, _ = encode_corpus([perms], vocab)
         assert np.array_equal(tensors[i], single[0])
+
+
+# --- reading a corpus in two processes ---
+
+def every_kind(tmp_path) -> list[ManifestRecord]:
+    """Four copies of one app of each input kind and one of each kind of
+    failure.  A copy has an odd count of entries, so each entry stands at
+    even and at odd positions, where each of the two processes reads it."""
+    records = []
+    for copy in range(4):
+        perms = [f"p{copy}", f"p{copy + 1}", "android.permission.INTERNET"]
+        axml = build_axml(permissions_manifest(perms), utf8=copy % 2 == 1)
+        plain = "<manifest>" + "".join(
+            f'<uses-permission name="{p}"/>' for p in perms) + "</manifest>"
+        files = {
+            "list.txt": ("permlist", "\n".join(perms).encode()),
+            "axml.bin": ("manifest", axml),
+            "plain.xml": ("manifest", plain.encode()),
+            "stored.apk": ("apk", build_zip([("AndroidManifest.xml", axml, 0)])),
+            "deflate.apk": ("apk", build_zip([("AndroidManifest.xml", axml, 8)])),
+            "latin1.txt": ("permlist", b"p0\n\xff\n"),  # NotUtf8
+            "broken.xml": ("manifest", b"<manifest>"),  # MalformedXml
+            "cut.bin": ("manifest", axml[:-10]),  # TruncatedChunk
+            "empty.apk": ("apk", b""),  # NotAZip
+            "nomanifest.apk": ("apk", build_zip([("classes.dex", b"dex", 0)])),  # NotAZip
+            "dir.apk": ("apk", None),  # IsADirectoryError
+            "missing.txt": ("permlist", None),  # FileNotFoundError
+            "odd.kind": ("elf", b""),  # ValueError
+        }
+        for name, (kind, data) in files.items():
+            path = tmp_path / f"{copy}-{name}"
+            if data is not None:
+                path.write_bytes(data)
+            elif name == "dir.apk":
+                path.mkdir()
+            records.append(ManifestRecord(str(path), "botnet" if copy % 2 else "benign", kind))
+    return records
+
+
+FAILURE_CLASSES = {
+    "NotUtf8", "MalformedXml", "TruncatedChunk", "NotAZip", "IsADirectoryError",
+    "FileNotFoundError", "ValueError",
+}
+
+
+def force_split(monkeypatch) -> list[int]:
+    """Split every corpus here as on a two-CPU host; returns the pids forked."""
+    monkeypatch.setattr(dataset, "SPLIT_MIN_MANIFESTS", 0)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_read_equals_the_inline_read(tmp_path, monkeypatch):
+    records = every_kind(tmp_path)
+    inline = extract_corpus(records)
+    assert {reason.split(":")[0] for _, reason in inline.failures} == FAILURE_CLASSES
+    assert len(inline.perm_sets) == 20 and len(inline.failures) == 32
+    forked = force_split(monkeypatch)
+    assert extract_corpus(records) == inline
+    assert len(forked) == 1
+    failing = [r for r in records if r.kind in ("elf", "apk") and "stored" not in r.path
+               and "deflate" not in r.path]
+    with pytest.raises(AllSamplesFailed) as split:
+        extract_corpus(failing)
+    monkeypatch.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
+    with pytest.raises(AllSamplesFailed) as inline_failure:
+        extract_corpus(failing)
+    assert str(split.value) == str(inline_failure.value)
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["child dies", "child writes garbage"])
+def test_a_failed_child_changes_nothing_and_is_reaped(tmp_path, monkeypatch, fault):
+    records = every_kind(tmp_path)
+    inline = extract_corpus(records)
+    forked = force_split(monkeypatch)
+    if fault == "child dies":
+        parent, read_each = os.getpid(), dataset._read_each
+
+        def dying_child(records):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_each(records)
+
+        monkeypatch.setattr(dataset, "_read_each", dying_child)
+    else:
+        monkeypatch.setattr(pickle, "dump", lambda obj, file, protocol: file.write(b"junk"))
+    assert extract_corpus(records) == inline
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("position", [4, 5], ids=["read by the caller", "read by the child"])
+def test_an_uncaught_exception_still_escapes(tmp_path, monkeypatch, position):
+    records = every_kind(tmp_path)
+    forked = force_split(monkeypatch)
+    target, read, parent = records[position].path, dataset.read_permissions, os.getpid()
+
+    def failing_read(path, kind):
+        if path == target:
+            raise KeyError(path)
+        if position % 2 == 0 and os.getpid() != parent and path == records[1].path:
+            time.sleep(60)  # the caller fails first and kills the child
+        return read(path, kind)
+
+    monkeypatch.setattr(dataset, "read_permissions", failing_read)
+    start = time.monotonic()
+    with pytest.raises(KeyError, match=target):
+        extract_corpus(records)
+    assert time.monotonic() - start < 30
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("setting", ["one cpu", "fold worker", "another thread"])
+def test_reads_inline_without_a_spare_cpu_or_beside_another_thread(tmp_path, monkeypatch,
+                                                                   setting):
+    records = every_kind(tmp_path)
+    forked = force_split(monkeypatch)
+    if setting == "one cpu":
+        monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
+        corpus = extract_corpus(records)
+    elif setting == "fold worker":  # one of two that share two CPUs
+        corpus = cpus.sharing_cpus(2, extract_corpus, records)
+    else:
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            corpus = extract_corpus(records)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+    assert forked == []
+    assert len(corpus.perm_sets) == 20
+
+
+SPLIT_AFTER_HELPER = """
+import os
+import sys
+import numpy as np
+from botgrid import cpus, dataset
+from botgrid.nn import layers
+from botgrid.synth import SynthSpec, generate_synthetic_corpus
+
+cpus.usable_cpus = lambda: 2  # start the helper even on a one-CPU host
+dataset.SPLIT_MIN_MANIFESTS = 0
+forked, fork = [], os.fork
+os.fork = lambda: forked.append(1) or fork()
+conv = layers.Conv2D(1, 4, (3, 3))
+x = np.ones((8, 20, 20, 1))
+want = conv.forward(x)
+assert cpus._helper is not None
+records = generate_synthetic_corpus(SynthSpec(n_botnet=20, n_benign=20, seed=3), sys.argv[1])
+corpus = dataset.extract_corpus(records)
+assert forked and cpus._helper is None and len(corpus.perm_sets) == 40
+assert conv.forward(x).tobytes() == want.tobytes() and cpus._helper is not None
+print("ok")
+"""
+
+
+def test_split_after_the_conv_helper_started(tmp_path):
+    # The fork retires the helper thread first; a later conv starts a new one.
+    # In its own session, so that a hang kills a stuck child too.
+    with subprocess.Popen(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", SPLIT_AFTER_HELPER,
+         str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=Path(botgrid.__file__).resolve().parents[1], start_new_session=True,
+    ) as run:
+        try:
+            out, err = run.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            pytest.fail("the split read hung after the helper thread started")
+    assert run.returncode == 0, err
+    assert out.split() == ["ok"]
 
 
 # --- synthetic corpus generator ---

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from botgrid import cpus
 from botgrid.errors import ShapeMismatch
 from botgrid.nn import layers
 from botgrid.nn.layers import Conv2D, Dense, MaxPool2D, Softmax
@@ -200,7 +201,7 @@ def inline_runner(monkeypatch):
         splits.append(1)
         return first(), second()
 
-    monkeypatch.setattr(layers, "_in_parallel", in_line)
+    monkeypatch.setattr(layers, "in_parallel", in_line)
     return splits
 
 
@@ -240,12 +241,12 @@ def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypa
 
 def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):
     # as each of cross_validate's two fold workers on a two-CPU host does
-    monkeypatch.setattr(layers, "_helper", None)
-    monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cpus, "_helper", None)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     here = threading.get_ident()
-    got = layers._sharing_cpus(2, layers._in_parallel, threading.get_ident, threading.get_ident)
-    assert got == (here, here) and layers._helper is None
-    assert layers._processes_sharing == 1
+    got = cpus.sharing_cpus(2, cpus.in_parallel, threading.get_ident, threading.get_ident)
+    assert got == (here, here) and cpus._helper is None
+    assert cpus._processes_sharing == 1
 
 
 def test_conv_extent_computes_only_the_top_left():

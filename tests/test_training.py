@@ -236,7 +236,7 @@ def test_train_step_is_bitwise_the_unsplit_computation(batch, dtype, monkeypatch
     got = train_step(split, images, labels, Adam())
     # every conv as one GEMM per operand on the calling thread
     monkeypatch.setattr(layers, "SPLIT_MIN_ROWS", sys.maxsize)
-    monkeypatch.setattr(layers, "_in_parallel", lambda first, second: (first(), second()))
+    monkeypatch.setattr(layers, "in_parallel", lambda first, second: (first(), second()))
     whole = build_reference_model(seed=9, dtype=dtype)
     want = train_step(whole, images, labels, Adam())
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
@@ -391,14 +391,15 @@ def test_cross_validate_two_folds(small_corpus):
 FOLD_WORKERS_AFTER_HELPER = """
 import sys
 import numpy as np
+from botgrid import cpus
 from botgrid.nn import layers
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import TrainConfig, cross_validate
 
 # start the helper even on a one-CPU host, and in each of two fold workers
-layers._usable_cpus = lambda: 4
+cpus.usable_cpus = lambda: 4
 layers.Conv2D(1, 4, (3, 3)).forward(np.ones((8, 20, 20, 1)))
-assert layers._helper is not None
+assert cpus._helper is not None
 spec = SynthSpec(n_botnet=12, n_benign=12, pool_size=20, noise_rate=0.2, seed=3)
 records = generate_synthetic_corpus(spec, sys.argv[1])
 result = cross_validate(records, TrainConfig(epochs=1, k=2, seed=1, vocab_size=16), jobs=2)
