@@ -61,6 +61,7 @@ _START_ELEMENT = struct.Struct("<IIHHH6x")
 # data type, data
 _ATTRIBUTE = struct.Struct("<IIIxxxBI")
 _END_ELEMENT = struct.Struct("<4xI")  # namespace (skipped), name
+_U16 = struct.Struct("<H")
 
 # The attribute keys of one document may total this many characters per
 # byte of input.  The manifests perfbench and the tests write reach 0.49.
@@ -100,21 +101,32 @@ class _StringPool:
         self._end = min(end, chunk_start + chunk_size)
         if self._base > self._end:
             raise TruncatedChunk("string data region starts past pool chunk end")
-        self._cache: dict[int, str] = {}  # by offset in data
+        self._by_index: list[str | None] = [None] * self.string_count
+        self._by_offset: dict[int, str] = {}
         # bytes of the data region that strings not yet decoded may span
         self._room = self._end - self._base
 
     def get(self, index: int) -> str:
         try:
-            at = self._base + self._offsets[index]
+            s = self._by_index[index]
         except IndexError:
             raise BadStringIndex(
                 f"string index {index} out of range ({self.string_count})"
             ) from None
-        if at in self._cache:
-            return self._cache[at]
+        if s is None:
+            s = self._by_index[index] = self._load(index)
+        return s
+
+    def _load(self, index: int) -> str:
+        at = self._base + self._offsets[index]
+        s = self._by_offset.get(at)
+        if s is not None:
+            return s
         try:
-            s, end = self._decode(at)
+            if self.is_utf8:
+                s, end = self._decode_utf8(at)
+            else:
+                s, end = self._decode_utf16(at)
         except (struct.error, IndexError) as exc:
             raise BadStringIndex(f"string {index} lies outside the pool data") from exc
         self._room -= end - at
@@ -123,47 +135,42 @@ class _StringPool:
                 f"string {index} overlaps others: the strings span more than "
                 f"the pool's {self._end - self._base}-byte data region"
             )
-        self._cache[at] = s
+        self._by_offset[at] = s
         return s
 
-    def _decode(self, at: int) -> tuple[str, int]:
-        """The string whose length field starts at `at`, and its end."""
-        if self.is_utf8:
-            return self._decode_utf8(at)
-        return self._decode_utf16(at)
+    # Each decoder returns the string whose length field starts at `at`,
+    # and the offset where it ends.
 
     def _decode_utf16(self, at: int) -> tuple[str, int]:
         # u16 char count; high bit extends the length with a second word.
         if at + 2 > self._end:
             raise BadStringIndex("UTF-16 length field out of bounds")
-        n = struct.unpack_from("<H", self._data, at)[0]
+        (n,) = _U16.unpack_from(self._data, at)
         at += 2
         if n & 0x8000:
             if at + 2 > self._end:
                 raise BadStringIndex("extended UTF-16 length out of bounds")
-            n = ((n & 0x7FFF) << 16) | struct.unpack_from("<H", self._data, at)[0]
+            n = ((n & 0x7FFF) << 16) | _U16.unpack_from(self._data, at)[0]
             at += 2
-        if at + 2 * n > self._end:
+        end = at + 2 * n
+        if end > self._end:
             raise BadStringIndex("UTF-16 string data out of bounds")
         try:
-            return self._data[at : at + 2 * n].decode("utf-16-le"), at + 2 * n
+            return self._data[at:end].decode("utf-16-le"), end
         except UnicodeDecodeError as exc:
             raise BadStringIndex(f"undecodable UTF-16 string: {exc}") from exc
 
     def _decode_utf8(self, at: int) -> tuple[str, int]:
         # Two varlen fields: UTF-16 char count (unused) then byte count.
-        at = self._skip_utf8_len(at)
+        _, at = self._read_utf8_len(at)
         nbytes, at = self._read_utf8_len(at)
-        if at + nbytes > self._end:
+        end = at + nbytes
+        if end > self._end:
             raise BadStringIndex("UTF-8 string data out of bounds")
         try:
-            return self._data[at : at + nbytes].decode("utf-8"), at + nbytes
+            return self._data[at:end].decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise BadStringIndex(f"undecodable UTF-8 string: {exc}") from exc
-
-    def _skip_utf8_len(self, at: int) -> int:
-        _, at = self._read_utf8_len(at)
-        return at
 
     def _read_utf8_len(self, at: int) -> tuple[int, int]:
         if at + 1 > self._end:

@@ -5,7 +5,7 @@ A process may run work beside its own thread only when its share of the
 CPUs it may use is more than one CPU.  Its share is the CPUs divided by the
 processes doing the same work on them: one of cross_validate's fold
 workers on a two-CPU host gets one CPU, and so starts no helper thread and
-forks no reader (see nn.layers and dataset).
+uses no reader process (see nn.layers and dataset).
 
 The helper is one thread that the whole process shares, started on first
 use.  A forked child inherits the executor but not its thread, so it

@@ -7,22 +7,27 @@ fatal; only a corpus with zero readable samples aborts the run.
 
 Reading is pure Python, so a second thread would not help, but a second
 process does.  When the process has a spare CPU (see cpus), a corpus of
-at least SPLIT_MIN_MANIFESTS manifests and APKs is read in two: a forked
-child reads every second record while the caller reads the rest, and the
-results are merged back in record order.  The corpus, its failures and
-the errors that escape are those of reading each record in turn,
-whatever the CPU count.  The caller forks only while its thread is the
-process's only one, after retiring the idle conv helper thread;
-otherwise it reads every record itself.
+at least SPLIT_MIN_MANIFESTS manifests and APKs is read in two: a reader
+process reads every second manifest and APK while the caller reads the
+rest and every permission list, and the results are merged back in
+record order.  The reader is forked by the first such corpus, while the
+caller's thread is the process's only one (after retiring the idle conv
+helper thread), and serves every later one until the process exits; with
+no reader, the caller reads every record itself.  The corpus and its
+failures are those of reading each record in turn, whatever the CPU
+count, and an exception that escapes reading a record escapes here too.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import os
 import pickle
 import signal
+import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,12 +43,15 @@ LABELS = ("benign", "botnet")  # class index order; botnet = positive class
 
 CSV_HEADER = ["path", "label", "kind"]
 
-# extract_corpus forks a second reader for a corpus that holds at least
-# this many manifests and APKs, twice the count of plaintext manifests (the
-# cheapest of them) whose reading pays for forking and starting the child.
-# Permission lists do not count: reading one costs less than sending it
-# back, so splitting a corpus of them lost at every size measured.
+# extract_corpus shares a corpus with the reader process when it holds at
+# least this many manifests and APKs: twice the count of plaintext manifests
+# (the cheapest of them) whose reading paid for forking and starting a
+# reader, so a small corpus never forks one.  Permission lists are never
+# sent: reading one costs about as much as sending it back, so the caller
+# reads them all itself.
 SPLIT_MIN_MANIFESTS = 128
+
+_FRAME = struct.Struct("<Q")  # byte length of the pickle that follows
 
 
 @dataclass(frozen=True)
@@ -104,14 +112,15 @@ def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:
     """Run permission extraction over every record, isolating failures."""
     if not records:
         raise EmptyDataset("dataset manifest lists no samples")
-    if (
-        sum(record.kind != "permlist" for record in records) >= SPLIT_MIN_MANIFESTS
-        and hasattr(os, "fork")
-        and cpus.spare_cpu()
-        and cpus.single_threaded()
-    ):
-        results = _read_in_two_processes(records)
-    else:
+    manifests = [i for i, record in enumerate(records) if record.kind != "permlist"]
+    results = None
+    if len(manifests) >= SPLIT_MIN_MANIFESTS and hasattr(os, "fork") and cpus.spare_cpu():
+        if _reader_lock.acquire(blocking=False):  # else another thread is using it
+            try:
+                results = _read_in_two_processes(records, manifests[1::2])
+            finally:
+                _reader_lock.release()
+    if results is None:
         results = _read_each(records)
     corpus = ExtractedCorpus([], [], [], [])
     for record, result in zip(records, results):
@@ -140,43 +149,162 @@ def _read_each(records: list[ManifestRecord]) -> list[PermissionSet | str]:
     return results
 
 
-def _read_in_two_processes(records: list[ManifestRecord]) -> list[PermissionSet | str]:
-    """_read_each(records), with a forked child reading every second record.
+# --- the reader process ---
 
-    The child pickles its results into a pipe.  If it dies, or what it
-    wrote does not unpickle, this process reads the child's records itself,
-    so the results, and any exception that escapes, are _read_each's."""
-    theirs = records[1::2]
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: never returns into the caller's code
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(_read_each(theirs), pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
+@dataclass(frozen=True)
+class _Reader:
+    pid: int
+    requests: int  # fd: this process writes records here ...
+    replies: int  # ... and reads the reader's results here
+
+
+_reader: _Reader | None = None
+_reader_lock = threading.Lock()  # held by the one thread using the reader
+
+
+def _read_in_two_processes(
+    records: list[ManifestRecord], theirs: list[int]
+) -> list[PermissionSet | str] | None:
+    """_read_each(records), with the records at indices `theirs` read by the
+    reader process; None when no reader could be started.
+
+    If the reader dies, or what it sends back does not unpickle to one
+    result a record, it is reaped and this process reads its records
+    itself.  If this process raises while the reader reads, the reader is
+    killed and reaped, so that no reply is left behind for the next call."""
     try:
-        with open(read_end, "rb") as pipe:
-            ours = _read_each(records[0::2])
-            written = pipe.read()
-        try:
-            results = pickle.loads(written)
-        except (pickle.UnpicklingError, EOFError):
-            results = None
+        cwd = os.getcwd()
+    except OSError:
+        return None
+    reader = _reader or _start_reader()
+    if reader is None:
+        return None
+    skip = set(theirs)
+    ours = [i for i in range(len(records)) if i not in skip]
+    wanted = [records[i] for i in theirs]
+    results = None
+    try:
+        sent = _send(reader.requests, (cwd, wanted))
+        read = _read_each([records[i] for i in ours])
+        if sent:
+            results = _receive(reader.replies)
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        _stop_reader()
         raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0 or results is None:
-        results = _read_each(theirs)
-    merged = [None] * len(records)
-    merged[0::2], merged[1::2] = ours, results
+    if not isinstance(results, list) or len(results) != len(wanted):
+        _stop_reader()
+        results = _read_each(wanted)
+    merged: list[PermissionSet | str] = [""] * len(records)
+    for i, result in zip(ours, read):
+        merged[i] = result
+    for i, result in zip(theirs, results):
+        merged[i] = result
     return merged
+
+
+def _start_reader() -> _Reader | None:
+    """Fork the reader, or None when this thread is not the process's only
+    one or the pipes or the fork fail."""
+    global _reader
+    if not cpus.single_threaded():
+        return None
+    fds: list[int] = []
+    try:
+        fds += os.pipe()  # requests: [0] the reader's end, [1] ours
+        fds += os.pipe()  # replies: [2] ours, [3] the reader's end
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        os.close(fds[1])  # else the reader would keep its own requests open
+        os.close(fds[2])
+        _serve(fds[0], fds[3])  # never returns
+    os.close(fds[0])
+    os.close(fds[3])
+    _reader = _Reader(pid, fds[1], fds[2])
+    return _reader
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The reader's loop: read each batch of records that arrives, send the
+    results back, and leave when the requests pipe closes."""
+    code = 1
+    try:
+        while (request := _receive(requests)) is not None:
+            cwd, records = request
+            os.chdir(cwd)  # relative paths resolve as in the caller
+            if not _send(replies, _read_each(records)):
+                break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _stop_reader() -> None:
+    """Kill and reap the reader, if there is one."""
+    global _reader
+    reader, _reader = _reader, None
+    if reader is None:
+        return
+    os.close(reader.requests)
+    os.close(reader.replies)
+    try:
+        os.kill(reader.pid, signal.SIGKILL)
+        os.waitpid(reader.pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass
+
+
+def _forget_reader() -> None:
+    """In a forked child: the parent's reader is the parent's to stop."""
+    global _reader, _reader_lock
+    if _reader is not None:
+        os.close(_reader.requests)
+        os.close(_reader.replies)
+    _reader, _reader_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_reader)
+atexit.register(_stop_reader)
+
+
+def _send(fd: int, obj) -> bool:
+    """Write obj as one frame; False when the other end is gone."""
+    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_FRAME.pack(len(body)) + body)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _receive(fd: int):
+    """The object in the next frame, or None at end of file or when the
+    frame does not unpickle."""
+    header = _read_exactly(fd, _FRAME.size)
+    body = header and _read_exactly(fd, _FRAME.unpack(header)[0])
+    if body is None:
+        return None
+    try:
+        return pickle.loads(body)
+    except Exception:
+        return None
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    chunks, left = [], size
+    while left:
+        chunk = os.read(fd, min(left, 1 << 20))
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        left -= len(chunk)
+    return b"".join(chunks)
 
 
 def encode_corpus(

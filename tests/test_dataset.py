@@ -1,5 +1,4 @@
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -186,8 +185,10 @@ FAILURE_CLASSES = {
 }
 
 
-def force_split(monkeypatch) -> list[int]:
-    """Split every corpus here as on a two-CPU host; returns the pids forked."""
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every corpus here as on a two-CPU host; yields the pids forked.
+    No reader outlives the test, and none is left unreaped."""
     monkeypatch.setattr(dataset, "SPLIT_MIN_MANIFESTS", 0)
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     forked, fork = [], os.fork
@@ -199,7 +200,10 @@ def force_split(monkeypatch) -> list[int]:
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    return forked
+    dataset._stop_reader()
+    yield forked
+    dataset._stop_reader()
+    assert_no_child_left()
 
 
 def assert_no_child_left():
@@ -207,14 +211,28 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_split_read_equals_the_inline_read(tmp_path, monkeypatch):
+def read_by_the_reader(records) -> list[int]:
+    return [i for i, r in enumerate(records) if r.kind != "permlist"][1::2]
+
+
+def test_split_read_equals_the_inline_read(tmp_path, monkeypatch, forks):
     records = every_kind(tmp_path)
-    inline = extract_corpus(records)
+    with monkeypatch.context() as inline_only:
+        inline_only.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
+        inline = extract_corpus(records)
     assert {reason.split(":")[0] for _, reason in inline.failures} == FAILURE_CLASSES
     assert len(inline.perm_sets) == 20 and len(inline.failures) == 32
-    forked = force_split(monkeypatch)
+    sent, send, parent = [], dataset._send, os.getpid()
+
+    def spying_send(fd, obj):
+        if os.getpid() == parent:
+            sent.append(obj[1])
+        return send(fd, obj)
+
+    monkeypatch.setattr(dataset, "_send", spying_send)
     assert extract_corpus(records) == inline
-    assert len(forked) == 1
+    assert extract_corpus(records) == inline  # the same reader again
+    assert sent == 2 * [[records[i] for i in read_by_the_reader(records)]]
     failing = [r for r in records if r.kind in ("elf", "apk") and "stored" not in r.path
                and "deflate" not in r.path]
     with pytest.raises(AllSamplesFailed) as split:
@@ -223,42 +241,86 @@ def test_split_read_equals_the_inline_read(tmp_path, monkeypatch):
     with pytest.raises(AllSamplesFailed) as inline_failure:
         extract_corpus(failing)
     assert str(split.value) == str(inline_failure.value)
-    assert len(forked) == 2
-    assert_no_child_left()
+    assert len(forks) == 1 and len(sent) == 3
+    pid = os.fork()  # a child forked later, a fold worker say, has no reader
+    if pid == 0:
+        os._exit(0 if dataset._reader is None else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert dataset._reader is not None
 
 
-@pytest.mark.parametrize("fault", ["child dies", "child writes garbage"])
-def test_a_failed_child_changes_nothing_and_is_reaped(tmp_path, monkeypatch, fault):
+def test_the_reader_follows_the_callers_working_directory(tmp_path, monkeypatch, forks):
+    corpora = {}
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        records = [r for r in every_kind(Path(".")) if Path(r.path).exists()]
+        for record in records:  # the same relative paths, other permissions
+            if record.path.endswith(("list.txt", "plain.xml")):
+                Path(record.path).write_text(
+                    f"{name}.permission\n" if record.kind == "permlist" else
+                    f'<manifest><uses-permission name="{name}.permission"/></manifest>')
+        corpora[name] = records
+    assert corpora["first"] == corpora["second"]
+    monkeypatch.chdir(tmp_path / "first")
+    first = extract_corpus(corpora["first"])
+    monkeypatch.chdir(tmp_path / "second")
+    with monkeypatch.context() as inline_only:
+        inline_only.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
+        second = extract_corpus(corpora["second"])
+    assert extract_corpus(corpora["second"]) == second != first
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize(
+    "fault", ["reader dies", "reader writes garbage", "reader killed between calls"])
+def test_a_failed_reader_changes_nothing_and_is_reaped(tmp_path, monkeypatch, forks, fault):
     records = every_kind(tmp_path)
-    inline = extract_corpus(records)
-    forked = force_split(monkeypatch)
-    if fault == "child dies":
-        parent, read_each = os.getpid(), dataset._read_each
+    with monkeypatch.context() as inline_only:
+        inline_only.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
+        inline = extract_corpus(records)
+    parent = os.getpid()
+    if fault == "reader dies":
+        read_each = dataset._read_each
 
-        def dying_child(records):
+        def dying_reader(records):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return read_each(records)
 
-        monkeypatch.setattr(dataset, "_read_each", dying_child)
+        monkeypatch.setattr(dataset, "_read_each", dying_reader)
+    elif fault == "reader writes garbage":
+        send = dataset._send
+
+        def garbling_send(fd, obj):
+            if os.getpid() != parent:
+                os.write(fd, dataset._FRAME.pack(4) + b"junk")
+                return True
+            return send(fd, obj)
+
+        monkeypatch.setattr(dataset, "_send", garbling_send)
     else:
-        monkeypatch.setattr(pickle, "dump", lambda obj, file, protocol: file.write(b"junk"))
+        assert extract_corpus(records) == inline
+        os.kill(dataset._reader.pid, signal.SIGKILL)
+        time.sleep(0.1)
     assert extract_corpus(records) == inline
-    assert len(forked) == 1
+    assert len(forks) == 1 and dataset._reader is None
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("position", [4, 5], ids=["read by the caller", "read by the child"])
-def test_an_uncaught_exception_still_escapes(tmp_path, monkeypatch, position):
+@pytest.mark.parametrize("who", ["the caller", "the reader"])
+def test_an_uncaught_exception_still_escapes(tmp_path, monkeypatch, forks, who):
     records = every_kind(tmp_path)
-    forked = force_split(monkeypatch)
+    theirs = read_by_the_reader(records)
+    position = 3 if who == "the caller" else 4
+    assert records[position].kind == "apk" and (position in theirs) == (who == "the reader")
     target, read, parent = records[position].path, dataset.read_permissions, os.getpid()
 
     def failing_read(path, kind):
         if path == target:
             raise KeyError(path)
-        if position % 2 == 0 and os.getpid() != parent and path == records[1].path:
-            time.sleep(60)  # the caller fails first and kills the child
+        if who == "the caller" and os.getpid() != parent:
+            time.sleep(60)  # the caller fails first and kills the reader
         return read(path, kind)
 
     monkeypatch.setattr(dataset, "read_permissions", failing_read)
@@ -266,21 +328,20 @@ def test_an_uncaught_exception_still_escapes(tmp_path, monkeypatch, position):
     with pytest.raises(KeyError, match=target):
         extract_corpus(records)
     assert time.monotonic() - start < 30
-    assert len(forked) == 1
+    assert len(forks) == 1 and dataset._reader is None
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("setting", ["one cpu", "fold worker", "another thread"])
-def test_reads_inline_without_a_spare_cpu_or_beside_another_thread(tmp_path, monkeypatch,
-                                                                   setting):
+@pytest.mark.parametrize(
+    "setting", ["one cpu", "fold worker", "another thread", "reader busy", "fork fails"])
+def test_reads_inline_without_a_spare_cpu_or_a_reader(tmp_path, monkeypatch, forks, setting):
     records = every_kind(tmp_path)
-    forked = force_split(monkeypatch)
     if setting == "one cpu":
         monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
         corpus = extract_corpus(records)
     elif setting == "fold worker":  # one of two that share two CPUs
         corpus = cpus.sharing_cpus(2, extract_corpus, records)
-    else:
+    elif setting == "another thread":
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
@@ -290,8 +351,21 @@ def test_reads_inline_without_a_spare_cpu_or_beside_another_thread(tmp_path, mon
             stop.set()
             other.join(timeout=10)
         assert not other.is_alive()
-    assert forked == []
-    assert len(corpus.perm_sets) == 20
+    elif setting == "reader busy":  # another thread is using it
+        with dataset._reader_lock:
+            corpus = extract_corpus(records)
+    else:
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        open_fds = len(os.listdir("/proc/self/fd")) if Path("/proc/self/fd").exists() else 0
+        corpus = extract_corpus(records)
+        if open_fds:
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert forks == [] and dataset._reader is None
+    monkeypatch.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
+    assert corpus == extract_corpus(records)
 
 
 SPLIT_AFTER_HELPER = """
@@ -311,16 +385,23 @@ x = np.ones((8, 20, 20, 1))
 want = conv.forward(x)
 assert cpus._helper is not None
 records = generate_synthetic_corpus(SynthSpec(n_botnet=20, n_benign=20, seed=3), sys.argv[1])
+for i, record in enumerate(records[:20]):  # half of them as manifests
+    with open(record.path) as listed, open(record.path + ".xml", "w") as manifest:
+        manifest.write("<manifest>" + "".join(
+            f'<uses-permission name="{p}"/>' for p in listed.read().split()) + "</manifest>")
+    records[i] = dataset.ManifestRecord(record.path + ".xml", record.label, "manifest")
 corpus = dataset.extract_corpus(records)
 assert forked and cpus._helper is None and len(corpus.perm_sets) == 40
 assert conv.forward(x).tobytes() == want.tobytes() and cpus._helper is not None
+assert dataset.extract_corpus(records) == corpus and len(forked) == 1
 print("ok")
 """
 
 
 def test_split_after_the_conv_helper_started(tmp_path):
-    # The fork retires the helper thread first; a later conv starts a new one.
-    # In its own session, so that a hang kills a stuck child too.
+    # The fork retires the helper thread first; a later conv starts a new
+    # one, and the reader serves later corpora beside it.  In its own
+    # session, so that a hang kills a stuck reader too.
     with subprocess.Popen(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", SPLIT_AFTER_HELPER,
          str(tmp_path)],
@@ -335,6 +416,46 @@ def test_split_after_the_conv_helper_started(tmp_path):
             pytest.fail("the split read hung after the helper thread started")
     assert run.returncode == 0, err
     assert out.split() == ["ok"]
+
+
+ORPHANED_READER = """
+import os
+import sys
+from botgrid import cpus, dataset
+from botgrid.dataset import ManifestRecord
+
+cpus.usable_cpus = lambda: 2
+dataset.SPLIT_MIN_MANIFESTS = 0
+records = [ManifestRecord(path, "benign", "manifest") for path in sys.argv[1:]]
+dataset.extract_corpus(records)
+print(dataset._reader.pid, flush=True)
+os._exit(0)  # as if killed: no exit handler stops the reader
+"""
+
+
+def test_the_reader_leaves_when_its_caller_dies(tmp_path):
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"{i}.xml")
+        paths[-1].write_text('<manifest><uses-permission name="p"/></manifest>')
+    run = subprocess.run(
+        [sys.executable, "-c", ORPHANED_READER, *map(str, paths)], capture_output=True,
+        text=True, timeout=120, cwd=Path(botgrid.__file__).resolve().parents[1],
+    )
+    assert run.returncode == 0, run.stderr
+    stat = Path(f"/proc/{int(run.stdout)}/stat")
+
+    def state():
+        try:
+            return stat.read_text().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return None
+
+    deadline = time.monotonic() + 30
+    # Gone, or a zombie that its new parent has not reaped yet.
+    while state() not in (None, "Z"):
+        assert time.monotonic() < deadline, "the reader outlived its caller"
+        time.sleep(0.05)
 
 
 # --- synthetic corpus generator ---
