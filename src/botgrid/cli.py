@@ -118,7 +118,10 @@ def _load_fields(path, cls, what: str) -> dict:
     each holding a value of its default's type.  An int passes for a float
     and becomes one, so reports print the same as for a float."""
     with open(path, "r", encoding="utf-8") as fh:
-        loaded = json.load(fh)
+        try:
+            loaded = json.load(fh)
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}

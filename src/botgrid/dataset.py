@@ -24,11 +24,10 @@ import atexit
 import csv
 import io
 import os
-import pickle
 import signal
-import struct
 import threading
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, Pipe
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +50,6 @@ CSV_HEADER = ["path", "label", "kind"]
 # reads them all itself.
 SPLIT_MIN_MANIFESTS = 128
 
-_FRAME = struct.Struct("<Q")  # byte length of the pickle that follows
-
 
 @dataclass(frozen=True)
 class ManifestRecord:
@@ -67,7 +64,11 @@ def label_index(label: str) -> int:
 
 def load_dataset_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ManifestCsvError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows or rows[0] != CSV_HEADER:
         raise ManifestCsvError(f"{path}: expected header {','.join(CSV_HEADER)}")
     records: list[ManifestRecord] = []
@@ -154,8 +155,7 @@ def _read_each(records: list[ManifestRecord]) -> list[PermissionSet | str]:
 @dataclass(frozen=True)
 class _Reader:
     pid: int
-    requests: int  # fd: this process writes records here ...
-    replies: int  # ... and reads the reader's results here
+    conn: Connection  # this process sends records and receives results here
 
 
 _reader: _Reader | None = None
@@ -166,12 +166,12 @@ def _read_in_two_processes(
     records: list[ManifestRecord], theirs: list[int]
 ) -> list[PermissionSet | str] | None:
     """_read_each(records), with the records at indices `theirs` read by the
-    reader process; None when no reader could be started.
+    reader process; None when no reader could be started or it is gone.
 
-    If the reader dies, or what it sends back does not unpickle to one
-    result a record, it is reaped and this process reads its records
-    itself.  If this process raises while the reader reads, the reader is
-    killed and reaped, so that no reply is left behind for the next call."""
+    If the reader dies, or its reply is not one result a record, it is
+    reaped and this process reads its records itself.  If this process
+    raises while the reader reads, the reader is killed and reaped, so that
+    no reply is left behind for the next call."""
     try:
         cwd = os.getcwd()
     except OSError:
@@ -182,12 +182,17 @@ def _read_in_two_processes(
     skip = set(theirs)
     ours = [i for i in range(len(records)) if i not in skip]
     wanted = [records[i] for i in theirs]
-    results = None
     try:
-        sent = _send(reader.requests, (cwd, wanted))
+        try:
+            reader.conn.send((cwd, wanted))
+        except OSError:  # the reader is gone: read every record here
+            _stop_reader()
+            return None
         read = _read_each([records[i] for i in ours])
-        if sent:
-            results = _receive(reader.replies)
+        try:
+            results = reader.conn.recv()
+        except Exception:  # the reader died, or its reply does not unpickle
+            results = None
     except BaseException:
         _stop_reader()
         raise
@@ -204,39 +209,37 @@ def _read_in_two_processes(
 
 def _start_reader() -> _Reader | None:
     """Fork the reader, or None when this thread is not the process's only
-    one or the pipes or the fork fail."""
+    one or the connection or the fork fail."""
     global _reader
     if not cpus.single_threaded():
         return None
-    fds: list[int] = []
+    conns: list[Connection] = []
     try:
-        fds += os.pipe()  # requests: [0] the reader's end, [1] ours
-        fds += os.pipe()  # replies: [2] ours, [3] the reader's end
+        conns += Pipe()  # [0] ours, [1] the reader's
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        for conn in conns:
+            conn.close()
         return None
+    ours, theirs = conns
     if pid == 0:
-        os.close(fds[1])  # else the reader would keep its own requests open
-        os.close(fds[2])
-        _serve(fds[0], fds[3])  # never returns
-    os.close(fds[0])
-    os.close(fds[3])
-    _reader = _Reader(pid, fds[1], fds[2])
+        ours.close()  # else the reader would not see its caller leave
+        _serve(theirs)  # never returns
+    theirs.close()
+    _reader = _Reader(pid, ours)
     return _reader
 
 
-def _serve(requests: int, replies: int) -> None:
+def _serve(conn: Connection) -> None:
     """The reader's loop: read each batch of records that arrives, send the
-    results back, and leave when the requests pipe closes."""
+    results back, and leave when the caller closes its end."""
     code = 1
     try:
-        while (request := _receive(requests)) is not None:
-            cwd, records = request
+        while True:
+            cwd, records = conn.recv()
             os.chdir(cwd)  # relative paths resolve as in the caller
-            if not _send(replies, _read_each(records)):
-                break
+            conn.send(_read_each(records))
+    except (EOFError, BrokenPipeError):
         code = 0
     finally:
         os._exit(code)
@@ -248,8 +251,7 @@ def _stop_reader() -> None:
     reader, _reader = _reader, None
     if reader is None:
         return
-    os.close(reader.requests)
-    os.close(reader.replies)
+    reader.conn.close()
     try:
         os.kill(reader.pid, signal.SIGKILL)
         os.waitpid(reader.pid, 0)
@@ -261,50 +263,13 @@ def _forget_reader() -> None:
     """In a forked child: the parent's reader is the parent's to stop."""
     global _reader, _reader_lock
     if _reader is not None:
-        os.close(_reader.requests)
-        os.close(_reader.replies)
+        _reader.conn.close()
     _reader, _reader_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_reader)
 atexit.register(_stop_reader)
-
-
-def _send(fd: int, obj) -> bool:
-    """Write obj as one frame; False when the other end is gone."""
-    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_FRAME.pack(len(body)) + body)
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _receive(fd: int):
-    """The object in the next frame, or None at end of file or when the
-    frame does not unpickle."""
-    header = _read_exactly(fd, _FRAME.size)
-    body = header and _read_exactly(fd, _FRAME.unpack(header)[0])
-    if body is None:
-        return None
-    try:
-        return pickle.loads(body)
-    except Exception:
-        return None
-
-
-def _read_exactly(fd: int, size: int) -> bytes | None:
-    chunks, left = [], size
-    while left:
-        chunk = os.read(fd, min(left, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        left -= len(chunk)
-    return b"".join(chunks)
 
 
 def encode_corpus(

@@ -401,6 +401,26 @@ def test_json_settings_files_are_checked(tmp_path, capsys):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+def test_dataset_csv_with_an_oversized_field_exits_parse(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("path,label,kind\n" + "x" * 140_000 + ",benign,permlist\n")
+    assert main(["vocab", "--manifest", str(csv_path), "--out", str(tmp_path / "v.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"botgrid: parse error: {csv_path}:2: field larger")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [("cv", "--config"), ("synth", "--spec")])
+def test_json_settings_nested_too_deeply_exit_parse(tmp_path, capsys, command, flag):
+    path = tmp_path / "settings.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)  # past the recursion limit
+    target = "--out" if command == "synth" else "--manifest"
+    assert main([command, flag, str(path), target, str(tmp_path / "missing")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("botgrid: parse error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, flag, settings, key",
     [

@@ -1,9 +1,11 @@
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,15 @@ def test_csv_rejects_bad_rows(tmp_path):
     bad_header.write_text("file,cls\n")
     with pytest.raises(ManifestCsvError):
         load_dataset_manifest(bad_header)
+
+
+def test_csv_with_an_oversized_field_is_a_parse_error(tmp_path):
+    # Past csv.field_size_limit() (131,072 characters) the reader raises
+    # csv.Error, which must surface as the declared parse error.
+    path = make_manifest(tmp_path, [("x.txt", "benign", "permlist"),
+                                    ("y" * 140_000, "botnet", "permlist")])
+    with pytest.raises(ManifestCsvError, match=f"^{re.escape(str(path))}:3: field larger"):
+        load_dataset_manifest(path)
 
 
 def test_ingest_zero_counts_follow_square_law(tmp_path):
@@ -179,6 +190,8 @@ def every_kind(tmp_path) -> list[ManifestRecord]:
     return records
 
 
+SPLIT_MIN_MANIFESTS = dataset.SPLIT_MIN_MANIFESTS  # as shipped, before any test patches it
+
 FAILURE_CLASSES = {
     "NotUtf8", "MalformedXml", "TruncatedChunk", "NotAZip", "IsADirectoryError",
     "FileNotFoundError", "ValueError",
@@ -222,14 +235,14 @@ def test_split_read_equals_the_inline_read(tmp_path, monkeypatch, forks):
         inline = extract_corpus(records)
     assert {reason.split(":")[0] for _, reason in inline.failures} == FAILURE_CLASSES
     assert len(inline.perm_sets) == 20 and len(inline.failures) == 32
-    sent, send, parent = [], dataset._send, os.getpid()
+    sent, send, parent = [], Connection.send, os.getpid()
 
-    def spying_send(fd, obj):
+    def spying_send(conn, obj):
         if os.getpid() == parent:
             sent.append(obj[1])
-        return send(fd, obj)
+        return send(conn, obj)
 
-    monkeypatch.setattr(dataset, "_send", spying_send)
+    monkeypatch.setattr(Connection, "send", spying_send)
     assert extract_corpus(records) == inline
     assert extract_corpus(records) == inline  # the same reader again
     assert sent == 2 * [[records[i] for i in read_by_the_reader(records)]]
@@ -290,15 +303,14 @@ def test_a_failed_reader_changes_nothing_and_is_reaped(tmp_path, monkeypatch, fo
 
         monkeypatch.setattr(dataset, "_read_each", dying_reader)
     elif fault == "reader writes garbage":
-        send = dataset._send
+        send = Connection.send
 
-        def garbling_send(fd, obj):
+        def garbling_send(conn, obj):
             if os.getpid() != parent:
-                os.write(fd, dataset._FRAME.pack(4) + b"junk")
-                return True
-            return send(fd, obj)
+                return conn.send_bytes(b"junk")
+            return send(conn, obj)
 
-        monkeypatch.setattr(dataset, "_send", garbling_send)
+        monkeypatch.setattr(Connection, "send", garbling_send)
     else:
         assert extract_corpus(records) == inline
         os.kill(dataset._reader.pid, signal.SIGKILL)
@@ -433,11 +445,16 @@ os._exit(0)  # as if killed: no exit handler stops the reader
 """
 
 
-def test_the_reader_leaves_when_its_caller_dies(tmp_path):
+def plain_manifests(directory, count) -> list[Path]:
     paths = []
-    for i in range(4):
-        paths.append(tmp_path / f"{i}.xml")
-        paths[-1].write_text('<manifest><uses-permission name="p"/></manifest>')
+    for i in range(count):
+        paths.append(directory / f"{i}.xml")
+        paths[-1].write_text(f'<manifest><uses-permission name="p{i}"/></manifest>')
+    return paths
+
+
+def test_the_reader_leaves_when_its_caller_dies(tmp_path):
+    paths = plain_manifests(tmp_path, 4)
     run = subprocess.run(
         [sys.executable, "-c", ORPHANED_READER, *map(str, paths)], capture_output=True,
         text=True, timeout=120, cwd=Path(botgrid.__file__).resolve().parents[1],
@@ -456,6 +473,80 @@ def test_the_reader_leaves_when_its_caller_dies(tmp_path):
     while state() not in (None, "Z"):
         assert time.monotonic() < deadline, "the reader outlived its caller"
         time.sleep(0.05)
+
+
+BUFFERED_OUTPUT = """
+import os
+import sys
+from botgrid import cpus, dataset
+from botgrid.dataset import ManifestRecord
+
+cpus.usable_cpus = lambda: 2
+dataset.SPLIT_MIN_MANIFESTS = 0
+records = [ManifestRecord(path, "benign", "manifest") for path in sys.argv[2:]]
+if not hasattr(sys.stdout.buffer, "raw"):
+    sys.exit("stdout is not buffered")
+sys.stdout.write("once\\n")  # stdout is a pipe, so this stays in the buffer
+dataset.extract_corpus(records)
+if dataset._reader is None:
+    sys.exit("no reader was forked")
+if sys.argv[1] == "os._exit":
+    sys.stdout.flush()
+    os._exit(0)  # the reader leaves when it reads end of file
+# else the interpreter exits and the exit handler kills the reader
+"""
+
+
+@pytest.mark.parametrize("how", ["os._exit", "normal exit"])
+def test_the_reader_never_writes_the_callers_buffered_output(tmp_path, how):
+    # The reader inherits the caller's unflushed stdout buffer; leaving by
+    # an exit path that flushes stdio would print it a second time.
+    paths = plain_manifests(tmp_path, 4)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    run = subprocess.run(
+        [sys.executable, "-c", BUFFERED_OUTPUT, how, *map(str, paths)], capture_output=True,
+        text=True, timeout=120, cwd=Path(botgrid.__file__).resolve().parents[1], env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "once\n"
+
+
+def test_the_real_threshold_counts_manifests_and_apks_only(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(dataset, "SPLIT_MIN_MANIFESTS", SPLIT_MIN_MANIFESTS)
+    lists = []
+    for i in range(SPLIT_MIN_MANIFESTS // 2):
+        lists.append(ManifestRecord(str(tmp_path / f"{i}.txt"), "botnet", "permlist"))
+        write_permlist(tmp_path / f"{i}.txt", [f"p{i}"])
+    manifests = [ManifestRecord(str(path), "benign", "manifest")
+                 for path in plain_manifests(tmp_path, SPLIT_MIN_MANIFESTS)]
+
+    def matches_the_inline_read(records):
+        with monkeypatch.context() as inline_only:
+            inline_only.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
+            inline = extract_corpus(records)
+        return extract_corpus(records) == inline
+
+    assert matches_the_inline_read(manifests[:-1] + lists)  # one manifest short
+    assert forks == [] and dataset._reader is None
+    assert matches_the_inline_read(lists + manifests)
+    assert len(forks) == 1 and dataset._reader is not None
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="lists /proc/self/fd")
+def test_the_reader_leaves_no_descriptor_open(tmp_path, forks):
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    records = every_kind(tmp_path)
+    before = open_fds()
+    extract_corpus(records)
+    assert dataset._reader is not None and open_fds() != before
+    pid = os.fork()  # a child forked while the reader exists holds none of its ends
+    if pid == 0:
+        os._exit(0 if open_fds() == before else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    dataset._stop_reader()
+    assert open_fds() == before
 
 
 # --- synthetic corpus generator ---
