@@ -117,9 +117,15 @@ def _load_fields(path, cls, what: str) -> dict:
     """A JSON object whose keys must all be fields of the dataclass cls,
     each holding a value of its default's type.  An int passes for a float
     and becomes one, so reports print the same as for a float."""
+    def parse_int(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"{path}: {exc}") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            loaded = json.load(fh)
+            loaded = json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(loaded, dict):

@@ -1,5 +1,5 @@
-"""How many CPUs this process may keep busy, and the one helper thread it
-keeps a second one busy with.
+"""How many CPUs this process may keep busy, and how a call keeps a second
+one busy.
 
 A process may run work beside its own thread only when its share of the
 CPUs it may use is more than one CPU.  Its share is the CPUs divided by the
@@ -7,22 +7,15 @@ processes doing the same work on them: one of cross_validate's fold
 workers on a two-CPU host gets one CPU, and so starts no helper thread and
 uses no reader process (see nn.layers and dataset).
 
-The helper is one thread that the whole process shares, started on first
-use.  A forked child inherits the executor but not its thread, so it
-forgets the parent's and starts its own.  A caller about to fork retires
-it first (`single_threaded`); the next `in_parallel` starts a new one.
+A helper thread lives for one `in_parallel` call, so no thread outlives
+the call that started it, and a process may fork between calls.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
-_HELPER_NAME = "botgrid-conv"
-
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
 # How many processes doing the same work share this one's CPUs.
 _processes_sharing = 1
 
@@ -49,47 +42,28 @@ def spare_cpu() -> bool:
     return usable_cpus() // _processes_sharing > 1
 
 
-def _forget_helper() -> None:
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
 def in_parallel(first, second):
-    """(first(), second()), with first run on the helper thread while this
+    """(first(), second()), with first run on a helper thread while this
     thread runs second; numpy's GEMMs and large copies release the GIL, so
     they overlap.  Both run here when the process has no spare CPU.
     Returns or raises only once neither is running."""
-    global _helper
-    with _helper_lock:
-        if _helper is None and spare_cpu():
-            _helper = ThreadPoolExecutor(1, thread_name_prefix=_HELPER_NAME)
-        helper = _helper
-    if helper is None:
+    if not spare_cpu():
         return first(), second()
-    future = helper.submit(first)
+    outcome: list = []
+
+    def run_first() -> None:
+        try:
+            outcome.append((first(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    helper = threading.Thread(target=run_first, name="botgrid-conv")
+    helper.start()
     try:
         second_result = second()
     finally:
-        wait([future])
-    return future.result(), second_result
-
-
-def single_threaded() -> bool:
-    """True when the calling thread is the process's only thread, so that it
-    may fork.  When the only other thread is the idle helper, retires it
-    first.  Only threads the threading module knows of are seen."""
-    global _helper
-    with _helper_lock:
-        me = threading.current_thread()
-        others = [t for t in threading.enumerate() if t is not me]
-        if _helper is not None and others and all(
-            t.name.startswith(_HELPER_NAME) for t in others
-        ):
-            _helper.shutdown(wait=True)
-            _helper = None
-            others = [t for t in threading.enumerate() if t is not me]
-        return not others
+        helper.join()
+    first_result, error = outcome[0]
+    if error is not None:
+        raise error
+    return first_result, second_result

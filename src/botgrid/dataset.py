@@ -11,11 +11,11 @@ at least SPLIT_MIN_MANIFESTS manifests and APKs is read in two: a reader
 process reads every second manifest and APK while the caller reads the
 rest and every permission list, and the results are merged back in
 record order.  The reader is forked by the first such corpus, while the
-caller's thread is the process's only one (after retiring the idle conv
-helper thread), and serves every later one until the process exits; with
-no reader, the caller reads every record itself.  The corpus and its
-failures are those of reading each record in turn, whatever the CPU
-count, and an exception that escapes reading a record escapes here too.
+caller's thread is the process's only one, and serves every later one
+until the process exits; with no reader, the caller reads every record
+itself.  The corpus and its failures are those of reading each record in
+turn, whatever the CPU count, and an exception that escapes reading a
+record escapes here too.
 """
 
 from __future__ import annotations
@@ -65,15 +65,15 @@ def label_index(label: str) -> int:
 def load_dataset_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        rows = list(reader)
+    try:  # each row with the line it ends on, which a quoted line break moves
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise ManifestCsvError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows or rows[0] != CSV_HEADER:
+    if not rows or rows[0][1] != CSV_HEADER:
         raise ManifestCsvError(f"{path}: expected header {','.join(CSV_HEADER)}")
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 3:
@@ -209,9 +209,10 @@ def _read_in_two_processes(
 
 def _start_reader() -> _Reader | None:
     """Fork the reader, or None when this thread is not the process's only
-    one or the connection or the fork fail."""
+    one (of those the threading module knows) or the connection or the fork
+    fail."""
     global _reader
-    if not cpus.single_threaded():
+    if threading.active_count() != 1:
         return None
     conns: list[Connection] = []
     try:

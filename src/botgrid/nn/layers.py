@@ -17,7 +17,7 @@ layer state, so it may run between a training forward and its backward,
 and one model may serve concurrent calls.
 
 A conv runs its independent GEMMs on two cores: the calling thread and
-the one helper thread that the whole process shares (see cpus).
+a helper thread that lives for the call (see cpus).
 Forward splits a large enough batch into two halves of whole images, and
 backward makes the weight gradient beside the input gradient.  Every
 GEMM keeps the rows and operands it would have without the helper, so

@@ -31,6 +31,7 @@ bits, as the deduplicated rows can.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -85,8 +86,8 @@ class TrainConfig:
             raise ValueError("batch_size and vocab_size must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.dtype not in ("float32", "float64"):

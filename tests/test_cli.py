@@ -234,6 +234,23 @@ def test_cv_with_one_fold_is_a_usage_error(corpus_dir, capsys):
     assert "k must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "config NaN"])
+def test_cv_with_a_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys, lr):
+    # NaN passed the old `learning_rate <= 0` check, and every fold then
+    # reported an accuracy of 0.5.
+    spec = SynthSpec(n_botnet=30, n_benign=30, pool_size=30, seed=2)
+    generate_synthetic_corpus(spec, tmp_path / "corpus")
+    argv = ["cv", "--manifest", str(tmp_path / "corpus" / "data.csv"), "--k", "2",
+            "--epochs", "1", "--n", "16"]
+    if lr == "config NaN":
+        (tmp_path / "cfg.json").write_text('{"learning_rate": NaN}')
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv += ["--lr", lr]
+    assert main(argv) == 1
+    assert "learning_rate must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_cv_with_no_workers_is_a_usage_error(corpus_dir, capsys, jobs):
     assert main([
@@ -419,6 +436,30 @@ def test_json_settings_nested_too_deeply_exit_parse(tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert err.startswith("botgrid: parse error: ") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, key", [("cv", "--config", "epochs"),
+                                               ("cv", "--config", "seed"),
+                                               ("synth", "--spec", "seed")])
+def test_json_settings_with_an_overlong_integer_exit_parse(tmp_path, capsys, command, flag, key):
+    # Past the interpreter's 4,300-digit limit on int(), json.load raised a
+    # ValueError that read as a usage error.
+    path = tmp_path / "settings.json"
+    path.write_text(f'{{"{key}": 1{"0" * 5000}}}')
+    target = "--out" if command == "synth" else "--manifest"
+    assert main([command, flag, str(path), target, str(tmp_path / "missing")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"botgrid: parse error: {path}: ") and "digits" in err
+    assert "Traceback" not in err
+
+
+def test_json_settings_that_do_not_parse_keep_their_message(tmp_path, capsys):
+    path = tmp_path / "settings.json"
+    path.write_text('{"epochs": 1,}')
+    with pytest.raises(json.JSONDecodeError) as decoding:
+        json.loads(path.read_text())
+    assert main(["cv", "--config", str(path), "--manifest", str(tmp_path / "missing")]) == 3
+    assert capsys.readouterr().err == f"botgrid: parse error: {decoding.value}\n"
 
 
 @pytest.mark.parametrize(

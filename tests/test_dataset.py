@@ -26,6 +26,7 @@ from botgrid.synth import SynthSpec, generate_synthetic_corpus, signature_permis
 from botgrid.vocabulary import PermissionVocabulary
 
 from axml_writer import build_axml, permissions_manifest
+from own_session import run_in_own_session
 from zip_writer import build_zip
 
 
@@ -74,6 +75,13 @@ def test_csv_rejects_bad_rows(tmp_path):
     bad_header.write_text("file,cls\n")
     with pytest.raises(ManifestCsvError):
         load_dataset_manifest(bad_header)
+
+
+def test_csv_errors_name_the_line_after_a_quoted_line_break(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('path,label,kind\n"a\nb.txt",benign,permlist\nc.txt,weird,permlist\n')
+    with pytest.raises(ManifestCsvError, match=f"^{re.escape(str(path))}:4: unknown label"):
+        load_dataset_manifest(path)
 
 
 def test_csv_with_an_oversized_field_is_a_parse_error(tmp_path):
@@ -383,19 +391,27 @@ def test_reads_inline_without_a_spare_cpu_or_a_reader(tmp_path, monkeypatch, for
 SPLIT_AFTER_HELPER = """
 import os
 import sys
+import threading
 import numpy as np
 from botgrid import cpus, dataset
 from botgrid.nn import layers
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 
-cpus.usable_cpus = lambda: 2  # start the helper even on a one-CPU host
+cpus.usable_cpus = lambda: 2  # start a helper even on a one-CPU host
 dataset.SPLIT_MIN_MANIFESTS = 0
 forked, fork = [], os.fork
 os.fork = lambda: forked.append(1) or fork()
+helpers, in_parallel = [], layers.in_parallel
+
+def recording_first_thread(first, second):
+    return in_parallel(lambda: helpers.append(threading.current_thread()) or first(), second)
+
+layers.in_parallel = recording_first_thread
 conv = layers.Conv2D(1, 4, (3, 3))
 x = np.ones((8, 20, 20, 1))
 want = conv.forward(x)
-assert cpus._helper is not None
+assert helpers and threading.main_thread() not in helpers
+assert threading.active_count() == 1
 records = generate_synthetic_corpus(SynthSpec(n_botnet=20, n_benign=20, seed=3), sys.argv[1])
 for i, record in enumerate(records[:20]):  # half of them as manifests
     with open(record.path) as listed, open(record.path + ".xml", "w") as manifest:
@@ -403,30 +419,24 @@ for i, record in enumerate(records[:20]):  # half of them as manifests
             f'<uses-permission name="{p}"/>' for p in listed.read().split()) + "</manifest>")
     records[i] = dataset.ManifestRecord(record.path + ".xml", record.label, "manifest")
 corpus = dataset.extract_corpus(records)
-assert forked and cpus._helper is None and len(corpus.perm_sets) == 40
-assert conv.forward(x).tobytes() == want.tobytes() and cpus._helper is not None
-assert dataset.extract_corpus(records) == corpus and len(forked) == 1
+assert forked == [1] and len(corpus.perm_sets) == 40
+reader = dataset._reader
+assert conv.forward(x).tobytes() == want.tobytes()
+assert dataset.extract_corpus(records) == corpus and forked == [1]
+assert dataset._reader is reader is not None
 print("ok")
 """
 
 
 def test_split_after_the_conv_helper_started(tmp_path):
-    # The fork retires the helper thread first; a later conv starts a new
-    # one, and the reader serves later corpora beside it.  In its own
-    # session, so that a hang kills a stuck reader too.
-    with subprocess.Popen(
-        [sys.executable, "-W", "error::DeprecationWarning", "-c", SPLIT_AFTER_HELPER,
-         str(tmp_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        cwd=Path(botgrid.__file__).resolve().parents[1], start_new_session=True,
-    ) as run:
-        try:
-            out, err = run.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(run.pid, signal.SIGKILL)
-            run.communicate()
-            pytest.fail("the split read hung after the helper thread started")
-    assert run.returncode == 0, err
+    # A conv's helper thread is gone once the conv returns, so the reader
+    # forks; a later conv gives the same bytes, and the reader serves later
+    # corpora.
+    code, out, err = run_in_own_session(
+        SPLIT_AFTER_HELPER, str(tmp_path), flags=["-W", "error::DeprecationWarning"],
+        hang="the split read hung after the helper thread started",
+    )
+    assert code == 0, err
     assert out.split() == ["ok"]
 
 

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -241,12 +242,76 @@ def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypa
 
 def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):
     # as each of cross_validate's two fold workers on a two-CPU host does
-    monkeypatch.setattr(cpus, "_helper", None)
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    here = threading.get_ident()
+    here, threads = threading.get_ident(), threading.active_count()
     got = cpus.sharing_cpus(2, cpus.in_parallel, threading.get_ident, threading.get_ident)
-    assert got == (here, here) and cpus._helper is None
+    assert got == (here, here) and threading.active_count() == threads
     assert cpus._processes_sharing == 1
+
+
+class Boom(Exception):
+    pass
+
+
+def test_in_parallel_leaves_no_thread_behind(monkeypatch):
+    # With a spare CPU, first runs on a helper thread that is gone by the
+    # time in_parallel returns or raises, and an exception in either call
+    # escapes only once the other has finished.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    threads, helpers, finished = threading.active_count(), [], []
+
+    def first(error=None):
+        helpers.append(threading.current_thread())
+        if error is None:
+            time.sleep(0.05)  # still running when the caller's call raises
+            finished.append("first")
+            return 1
+        raise error
+
+    def second(error=None):
+        if error is None:
+            time.sleep(0.05)  # still running when the helper's call raises
+            finished.append("second")
+            return 2
+        raise error
+
+    assert cpus.in_parallel(first, second) == (1, 2)
+    assert sorted(finished) == ["first", "second"]
+    finished.clear()
+    with pytest.raises(Boom, match="in first"):
+        cpus.in_parallel(lambda: first(Boom("in first")), second)
+    assert finished == ["second"]
+    finished.clear()
+    with pytest.raises(Boom, match="in second"):
+        cpus.in_parallel(first, lambda: second(Boom("in second")))
+    assert finished == ["first"]
+    assert len(helpers) == 3 and threading.current_thread() not in helpers
+    assert not any(helper.is_alive() for helper in helpers)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("shape", [(20, 20, 8, 16, (5, 5), None), (21, 21, 4, 8, (3, 3), (10, 9))])
+def test_a_conv_leaves_no_helper_thread_behind(shape, monkeypatch):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    helpers = []
+
+    def recording_first_thread(first, second):
+        def first_recorded():
+            helpers.append(threading.current_thread())
+            return first()
+        return cpus.in_parallel(first_recorded, second)
+
+    monkeypatch.setattr(layers, "in_parallel", recording_first_thread)
+    h, w, cin, cout, kernel, extent = shape
+    rng = np.random.default_rng(23)
+    layer = Conv2D(cin, cout, kernel, rng=rng, extent=extent)
+    threads = threading.active_count()
+    y = layer.forward(rng.standard_normal((32, h, w, cin)), train=True)
+    assert len(helpers) == 1 and threading.active_count() == threads
+    layer.backward(rng.standard_normal(y.shape))
+    assert len(helpers) == 2 and threading.current_thread() not in helpers
+    assert not any(helper.is_alive() for helper in helpers)
+    assert threading.active_count() == threads
 
 
 def test_conv_extent_computes_only_the_top_left():

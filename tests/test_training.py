@@ -1,14 +1,9 @@
 import math
-import os
-import signal
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import botgrid
 from botgrid import training
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
@@ -31,6 +26,7 @@ from botgrid.training import (
 from botgrid.vocabulary import PermissionVocabulary
 
 from conv_reference import computing_every_output
+from own_session import run_in_own_session
 
 
 @pytest.fixture(scope="module")
@@ -390,16 +386,23 @@ def test_cross_validate_two_folds(small_corpus):
 
 FOLD_WORKERS_AFTER_HELPER = """
 import sys
+import threading
 import numpy as np
 from botgrid import cpus
 from botgrid.nn import layers
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import TrainConfig, cross_validate
 
-# start the helper even on a one-CPU host, and in each of two fold workers
+# start a helper even on a one-CPU host, and in each of two fold workers
 cpus.usable_cpus = lambda: 4
+helpers, in_parallel = [], layers.in_parallel
+
+def recording_first_thread(first, second):
+    return in_parallel(lambda: helpers.append(threading.current_thread()) or first(), second)
+
+layers.in_parallel = recording_first_thread
 layers.Conv2D(1, 4, (3, 3)).forward(np.ones((8, 20, 20, 1)))
-assert cpus._helper is not None
+assert helpers and threading.main_thread() not in helpers
 spec = SynthSpec(n_botnet=12, n_benign=12, pool_size=20, noise_rate=0.2, seed=3)
 records = generate_synthetic_corpus(spec, sys.argv[1])
 result = cross_validate(records, TrainConfig(epochs=1, k=2, seed=1, vocab_size=16), jobs=2)
@@ -408,22 +411,19 @@ print(len(result.folds))
 
 
 def test_fold_workers_fork_after_the_helper_thread_started(tmp_path):
-    # A forked fold worker inherits the conv helper's executor but not its
-    # thread: unless the fork resets it, the worker's first conv waits forever.
-    # In its own session, so that a hang kills the stuck workers too.
-    with subprocess.Popen(
-        [sys.executable, "-c", FOLD_WORKERS_AFTER_HELPER, str(tmp_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        cwd=Path(botgrid.__file__).resolve().parents[1], start_new_session=True,
-    ) as run:
-        try:
-            out, err = run.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(run.pid, signal.SIGKILL)
-            run.communicate()
-            pytest.fail("cross_validate's fold workers hung")
-    assert run.returncode == 0, err
+    # Fold workers forked after a conv ran half of its work on a helper
+    # thread run their own convs to the end.
+    code, out, err = run_in_own_session(
+        FOLD_WORKERS_AFTER_HELPER, str(tmp_path), hang="cross_validate's fold workers hung"
+    )
+    assert code == 0, err
     assert out.split() == ["2"]
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, 0.0])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=learning_rate)
 
 
 def test_cross_validate_determinism(small_corpus):
