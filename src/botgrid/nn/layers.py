@@ -7,14 +7,18 @@ ceil(input / stride), and when the total padding is odd the extra row
 or column goes on the bottom/right.  A conv computes only the top-left
 rows and columns of its output that a later layer reads (pooling drops a
 trailing row or column that does not fill a window) and writes +0.0 at
-the rest.  Its im2col matrix is gathered in one copy of a strided
-(N, rows, cols, kh, kw, C) window view of the padded input.  Max
-pooling routes each window's gradient to the first row-major position
-holding its maximum.  All layers preserve the dtype of their inputs.  A
-layer's only per-call state is the cache for the backward pass, recorded
-when train=True and owning the arrays it holds.  Inference writes no
-layer state, so it may run between a training forward and its backward,
-and one model may serve concurrent calls.
+the rest.  It gathers its im2col rows from a strided (N, rows, cols, kh,
+kw, C) window view of the padded input in tiles of whole images, one
+copy per tile, and multiplies each tile while it is still in cache.
+Training gathers into the whole batch's im2col matrix, which the backward
+pass keeps; inference reuses one tile-sized buffer per thread and never
+holds the whole matrix.  Max pooling routes each window's gradient to
+the first row-major position holding its maximum.  All layers preserve
+the dtype of their inputs.  A layer's only per-call state is the cache
+for the backward pass, recorded when train=True and owning the arrays it
+holds.  Inference writes no layer state, so it may run between a
+training forward and its backward, and one model may serve concurrent
+calls.
 
 A conv runs its independent GEMMs on two cores: the calling thread and
 a helper thread that lives for the call (see cpus).
@@ -36,14 +40,15 @@ from ..cpus import in_parallel
 from ..errors import ShapeMismatch
 
 
-# Conv2D.backward makes and scatters its input gradient in even tiles of
-# whole images, about this many im2col rows each, so each tile is scattered
-# while in cache.  No tile drops below half of it: BLAS can round a GEMM of
-# a handful of rows differently from the whole batch's.
-BACKWARD_TILE_ROWS = 800
+# Conv2D gathers and multiplies its im2col rows in forward, and makes and
+# scatters its input gradient in backward, in even tiles of whole images of
+# about this many rows each, so each tile is used while in cache.  No tile
+# drops below half of it: BLAS can round a GEMM of a handful of rows
+# differently from the whole batch's.
+TILE_ROWS = 800
 # Conv2D.forward splits its batch into two halves of whole images only when
 # each half has at least this many im2col rows, for the same reason.
-SPLIT_MIN_ROWS = BACKWARD_TILE_ROWS // 2
+SPLIT_MIN_ROWS = TILE_ROWS // 2
 # Dense.forward runs its GEMM in zero-padded tiles of this many rows, so a
 # row gets the same bits whatever else its batch holds: OpenBLAS rounds a
 # float32 GEMM of 1-3 rows, and a float64 GEMM of almost any size, by its
@@ -54,6 +59,14 @@ DENSE_TILE_ROWS = 4
 def _relu_std(relu: bool, fan_in: int) -> float:
     # sqrt(2/fan_in) for ReLU layers, sqrt(1/fan_in) for linear ones.
     return float(np.sqrt((2.0 if relu else 1.0) / fan_in))
+
+
+def _image_tiles(lo: int, hi: int, rows_per_image: int) -> list[tuple[int, int]]:
+    """Images [lo, hi) as (start, stop) tiles of about TILE_ROWS rows: at
+    least one tile, none empty, and whole images of even counts."""
+    count = hi - lo
+    tiles = max(1, min(count, count * rows_per_image // TILE_ROWS))
+    return [(lo + count * t // tiles, lo + count * (t + 1) // tiles) for t in range(tiles)]
 
 
 def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -124,20 +137,28 @@ class Conv2D:
             xp, (n, eh, ew, kh, kw, cin), (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False
         )
         weights2 = self.weights.reshape(kh * kw * cin, self.out_channels)
-        cols2 = np.empty((n * eh * ew, kh * kw * cin), dtype=xp.dtype)
-        y2 = np.empty((n * eh * ew, self.out_channels), np.result_type(cols2, weights2))
+        per_image = eh * ew
+        cols2 = np.empty((n * per_image, kh * kw * cin), xp.dtype) if train else None
+        y2 = np.empty((n * per_image, self.out_channels), np.result_type(xp, weights2))
 
         def images(lo: int, hi: int) -> None:
             # the same GEMM rows as one whole-batch GEMM, in the same bits
-            cols, y = cols2[lo * eh * ew : hi * eh * ew], y2[lo * eh * ew : hi * eh * ew]
-            np.copyto(cols.reshape(hi - lo, eh, ew, kh, kw, cin), windows[lo:hi])
-            np.matmul(cols, weights2, out=y)
-            y += self.bias
-            if self.relu:
-                np.maximum(y, 0, out=y)
+            tiles = _image_tiles(lo, hi, per_image)
+            if not train:
+                largest = max(stop - start for start, stop in tiles)
+                buffer = np.empty((largest * per_image, kh * kw * cin), xp.dtype)
+            for start, stop in tiles:
+                rows = slice(start * per_image, stop * per_image)
+                cols = cols2[rows] if train else buffer[: (stop - start) * per_image]
+                np.copyto(cols.reshape(stop - start, eh, ew, kh, kw, cin), windows[start:stop])
+                y = y2[rows]
+                np.matmul(cols, weights2, out=y)
+                y += self.bias
+                if self.relu:
+                    np.maximum(y, 0, out=y)
 
         half = n // 2
-        if half * eh * ew >= SPLIT_MIN_ROWS:
+        if half * per_image >= SPLIT_MIN_ROWS:
             in_parallel(lambda: images(half, n), lambda: images(0, half))
         else:
             images(0, n)
@@ -181,9 +202,7 @@ class Conv2D:
             padded_h = max((out_h - 1) * sh + kh, h)
             padded_w = max((out_w - 1) * sw + kw, w)
             gxp = np.zeros((n, padded_h, padded_w, cin), dtype=grad.dtype)
-            tiles = max(1, n * eh * ew // BACKWARD_TILE_ROWS)
-            for t in range(tiles):
-                lo, hi = n * t // tiles, n * (t + 1) // tiles
+            for lo, hi in _image_tiles(0, n, eh * ew):
                 gcols = g3[lo:hi].reshape(-1, self.out_channels) @ weights_t
                 gcols = gcols.reshape(hi - lo, eh, ew, kh, kw, cin)
                 tile = gxp[lo:hi]

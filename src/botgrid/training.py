@@ -203,10 +203,10 @@ def _distinct_rows(tensors: np.ndarray, labels: np.ndarray | None = None):
     if labels is not None:
         label_bytes = np.asarray(labels, dtype=np.int64).reshape(-1, 1).view(np.uint8)
         rows = np.concatenate([rows, label_bytes], axis=1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
+    seen: dict[bytes, int] = {}  # a row's bytes -> the row where they first appear
+    earliest = np.array([seen.setdefault(row.tobytes(), i) for i, row in enumerate(rows)], np.intp)
+    first = np.flatnonzero(earliest == np.arange(len(rows)))
+    return first, np.searchsorted(first, earliest)
 
 
 def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:

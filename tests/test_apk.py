@@ -1,6 +1,5 @@
 import io
 import struct
-import tracemalloc
 import zipfile
 
 import pytest
@@ -16,6 +15,7 @@ from botgrid.errors import (
     UnsupportedCompression,
 )
 
+from traced_memory import peak_bytes_of
 from zip_writer import build_zip
 
 
@@ -170,15 +170,13 @@ def declare_size(blob: bytes, size: int) -> bytes:
 )
 def test_inflate_bomb_fails_in_bounded_memory(bomb_zip, declared, error):
     archive = ApkArchive(declare_size(bomb_zip, declared))
-    tracemalloc.start()
-    try:
+
+    def read() -> None:
         with pytest.raises(error) as exc:
             archive.read("AndroidManifest.xml")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert isinstance(exc.value, ParseError)
-    assert peak < MAX_ENTRY_BYTES
+        assert isinstance(exc.value, ParseError)
+
+    assert peak_bytes_of(read) < MAX_ENTRY_BYTES
 
 
 def shift_offsets(blob: bytes, prefix: int) -> bytes:
@@ -243,14 +241,12 @@ def test_open_apk_reads_in_memory_bounded_by_the_archive(tmp_path, method, layou
         fh.write(head)
         fh.seek(len(head) + hole)
         fh.write(tail)
-    tracemalloc.start()
-    try:
+
+    def read() -> None:
         if isinstance(outcome, bytes):
             assert open_apk(path).read("AndroidManifest.xml") == outcome
         else:
             with pytest.raises(outcome):
                 open_apk(path).read("AndroidManifest.xml")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+
+    assert peak_bytes_of(read) < 256 * 1024

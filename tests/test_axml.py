@@ -1,6 +1,5 @@
 import random
 import struct
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -29,6 +28,7 @@ from axml_writer import (
     build_axml,
     permissions_manifest,
 )
+from traced_memory import peak_bytes_of
 
 
 class _TreeMatcher:
@@ -204,16 +204,6 @@ def utf16_string(s: str) -> bytes:
     head = struct.pack("<HH", 0x8000 | units >> 16, units & 0xFFFF) if units >= 0x8000 \
         else struct.pack("<H", units)
     return head + s.encode("utf-16-le") + b"\0\0"
-
-
-def peak_bytes_of(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-    finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    return peak
 
 
 # A run of one 2-byte unit that reads, from any even offset into it, as a

@@ -10,6 +10,8 @@ from botgrid.nn import layers
 from botgrid.nn.layers import Conv2D, Dense, MaxPool2D, Softmax
 from botgrid.nn.model import LayerSpec, build_model
 
+from traced_memory import peak_bytes_of
+
 RTOL = 1e-4
 FD_H = 1e-5
 
@@ -178,14 +180,14 @@ def test_conv_tiled_input_gradient_is_exact(shape, stride, dtype):
         grad = rng.standard_normal(y.shape).astype(dtype)
         want = untiled_input_gradient(layer, grad)
         assert layer.backward(grad).tobytes() == want.tobytes()
-    assert 33 * 10 * 10 // layers.BACKWARD_TILE_ROWS > 1
+    assert 33 * 10 * 10 // layers.TILE_ROWS > 1
 
 
 def whole_batch_conv(layer, x, grad):
     """A ReLU conv's output and weight and bias gradients, each from one
     GEMM over the whole batch's im2col rows, as if nothing were split."""
     cols, (n, oh, ow) = im2col_reference(x, layer.kernel, layer.stride)
-    eh, ew = layer.extent or (oh, ow)
+    eh, ew = np.minimum(layer.extent or (oh, ow), (oh, ow))  # as the layer clamps it
     cols = cols.reshape(n, oh, ow, -1)[:, :eh, :ew].reshape(n * eh * ew, -1)
     y2 = np.maximum(cols @ layer.weights.reshape(-1, layer.out_channels) + layer.bias, 0)
     y = np.zeros((n, oh, ow, layer.out_channels), x.dtype)
@@ -211,19 +213,24 @@ def inline_runner(monkeypatch):
 @pytest.mark.parametrize("stride", [(1, 1), (2, 2)])
 @pytest.mark.parametrize(
     "shape", [(20, 20, 8, 16, (5, 5), None), (12, 12, 64, 128, (1, 1), None),
-              (21, 21, 4, 8, (3, 3), (10, 9))]
+              (21, 21, 4, 8, (3, 3), (10, 9)), (20, 20, 32, 128, (5, 5), None),
+              (41, 41, 1, 32, (5, 5), (40, 40))]
 )
 def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypatch):
-    # Equal bytes: each half of a split forward, and the weight gradient run
-    # beside the input gradient, keep the whole batch's GEMM rows and sums,
-    # whether the halves run on the helper thread or one after the other.
+    # Equal bytes: each half of a split forward, each of its tiles gathered
+    # into the whole im2col matrix (training) or one reused buffer
+    # (inference), and the weight gradient run beside the input gradient,
+    # keep the whole batch's GEMM rows and sums, whether the halves run on
+    # the helper thread or one after the other.  The batch sizes put tile
+    # and half boundaries on different images; the last two shapes are the
+    # reference model's conv2 and conv1 (one tile per image at batch 1).
     h, w, cin, cout, kernel, extent = shape
     splits = inline_runner(monkeypatch) if runner == "inline" else []
     rng = np.random.default_rng(19)
     layer = Conv2D(cin, cout, kernel, stride, rng=rng, dtype=dtype, extent=extent)
     layer.bias = rng.standard_normal(cout).astype(dtype)
     split_batches = []
-    for n in (1, 2, 3, 5, 16, 17, 32, 33):
+    for n in (1, 2, 3, 5, 9, 16, 17, 32, 33):
         x = rng.standard_normal((n, h, w, cin)).astype(dtype)
         before = len(splits)
         y = layer.forward(x, train=True)
@@ -238,6 +245,36 @@ def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypa
         assert grad_input.tobytes() == untiled_input_gradient(layer, grad).tobytes()
     if runner == "inline":  # batch 33 splits every geometry here, batch 1 none
         assert split_batches[-1] and not split_batches[0]
+
+
+@pytest.mark.parametrize("rows_per_image", [1, 9, 100, 324, 400, 799, 800, 1600])
+def test_image_tiles_are_even_runs_of_whole_images(rows_per_image):
+    # A tile is never empty, never splits an image and, unless it is the
+    # whole run, holds at least half of TILE_ROWS rows.  At batch 1 a
+    # 1,600-row image is one tile, not one empty and one full.
+    for lo, hi in [(0, n) for n in range(1, 70)] + [(8, 16), (16, 33)]:
+        tiles = layers._image_tiles(lo, hi, rows_per_image)
+        assert [start for start, _ in tiles] == [lo] + [stop for _, stop in tiles[:-1]]
+        assert tiles[-1][1] == hi and all(stop > start for start, stop in tiles)
+        sizes = [stop - start for start, stop in tiles]
+        assert max(sizes) - min(sizes) <= 1
+        if len(tiles) > 1:
+            assert min(sizes) * rows_per_image >= layers.TILE_ROWS // 2
+
+
+def test_inference_conv_keeps_no_whole_batch_im2col(monkeypatch):
+    # conv2's shape, with a 20x20 extent, at EVAL_BATCH 16 in float32: the
+    # whole im2col matrix is 6,400 rows of 800 values (20.5 MB).  Inference
+    # holds one tile-sized buffer per thread and keeps nothing.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    rng = np.random.default_rng(37)
+    layer = Conv2D(32, 128, (5, 5), rng=rng, dtype=np.float32, extent=(20, 20))
+    x = rng.standard_normal((16, 20, 20, 32), dtype=np.float32)
+    whole_cols, _ = im2col_reference(x, (5, 5), (1, 1))
+    assert peak_bytes_of(layer.forward, x) < whole_cols.nbytes // 2
+    assert layer._cache is None
+    layer.forward(x, train=True)  # backward still needs every row
+    assert layer._cache[2].tobytes() == whole_cols.tobytes()
 
 
 def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):

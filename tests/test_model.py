@@ -1,6 +1,5 @@
 import random
 import struct
-import tracemalloc
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +28,7 @@ from botgrid.nn.model import (
 )
 
 from conv_reference import computing_every_output
+from traced_memory import peak_bytes_of
 
 TABLE_SHAPES = [
     (41, 41, 32),
@@ -362,14 +362,7 @@ def flip_conv1_exponent(path) -> None:
 def test_forged_model_fails_before_allocating(tmp_path, offset, fmt, value):
     path = tmp_path / "model.bin"
     blob = forge_reference_model(path, offset, fmt, value)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ChecksumMismatch):
-            load_model(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * len(blob)
+    assert peak_bytes_of(lambda: pytest.raises(ChecksumMismatch, load_model, path)) < 3 * len(blob)
 
 
 def test_model_with_rejected_geometry_is_a_parse_error(tmp_path):
@@ -457,27 +450,26 @@ def test_fuzzed_model_file_loads_or_is_a_parse_error(tmp_path):
     blob = (tmp_path / "model.bin").read_bytes()
     path = tmp_path / "fuzzed.bin"
     sampled = []  # (file bytes, exit code predict should give)
-    tracemalloc.start()
-    try:
-        for i, data in enumerate(_fuzzed_model_files(blob)):
-            path.write_bytes(data)
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    model = load_model(path)
-            except ParseError:
-                model = None
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak - before < 16 * len(blob), f"input {i}: peak {peak - before}"
-            if i % 40 == 0:
-                # a model that loads but no longer takes 9x9 images does not fit
-                # the vocabulary, which is a precondition error
-                fits = model is not None and model.input_shape == (9, 9, 1)
-                sampled.append((data, 3 if model is None else 0 if fits else 1))
-    finally:
-        tracemalloc.stop()
+
+    def load(loaded: list) -> None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                loaded.append(load_model(path))
+        except ParseError:
+            loaded.append(None)
+
+    for i, data in enumerate(_fuzzed_model_files(blob)):
+        path.write_bytes(data)
+        loaded = []
+        peak = peak_bytes_of(load, loaded)
+        assert peak < 16 * len(blob), f"input {i}: peak {peak}"
+        if i % 40 == 0:
+            # a model that loads but no longer takes 9x9 images does not fit
+            # the vocabulary, which is a precondition error
+            model = loaded[0]
+            fits = model is not None and model.input_shape == (9, 9, 1)
+            sampled.append((data, 3 if model is None else 0 if fits else 1))
 
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("".join(f"android.permission.P{k}\n" for k in range(9)))

@@ -179,6 +179,44 @@ def test_train_step_without_repeats_is_bitwise_the_full_batch():
         assert p.tobytes() == q.tobytes()
 
 
+def sorted_distinct_rows(tensors, labels=None):
+    """(first, inverse) from np.unique over each row's bytes and label,
+    put back in order of first appearance."""
+    rows = np.ascontiguousarray(tensors).reshape(len(tensors), -1).view(np.uint8)
+    if labels is not None:
+        label_bytes = np.asarray(labels, dtype=np.int64).reshape(-1, 1).view(np.uint8)
+        rows = np.concatenate([rows, label_bytes], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distinct_rows_match_the_sorting_formulation(dtype):
+    # Rows are keyed by their bytes: -0.0 is not +0.0, NaNs of two payloads
+    # differ while one payload matches itself, and an image under two
+    # labels is two rows.
+    nan = np.array(np.nan, dtype)
+    other_nan = (nan.view(f"u{nan.itemsize}") ^ 1).view(dtype)
+    images = np.zeros((5, 3, 3, 1), dtype)
+    images[1, 0, 0] = -0.0
+    images[2, 1, 1] = nan
+    images[3, 1, 1] = other_nan
+    images[4] = 1
+    batch = images[[4, 0, 1, 2, 3, 0, 2, 3, 1, 4, 0, 0]]
+    labels = np.array([1, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1])
+    cases = [
+        ((), [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 1, 3, 4, 2, 0, 1, 1]),
+        ((labels,), [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 3, 4, 2, 0, 1, 5]),
+    ]
+    for args, want_first, want_inverse in cases:
+        first, inverse = training._distinct_rows(batch, *args)
+        sorted_first, sorted_inverse = sorted_distinct_rows(batch, *args)
+        assert first.tolist() == sorted_first.tolist() == want_first
+        assert inverse.tolist() == sorted_inverse.tolist() == want_inverse
+
+
 def _distinct_images(n):
     v = np.random.default_rng(23).random((8, n)) < 0.4
     return (1.0 - v[:, :, None] * v[:, None, :])[..., None], np.array([1, 0, 0, 1, 1, 0, 1, 0])
@@ -230,7 +268,7 @@ def test_train_step_is_bitwise_the_unsplit_computation(batch, dtype, monkeypatch
     labels = np.arange(batch) % 2
     split = build_reference_model(seed=9, dtype=dtype)
     got = train_step(split, images, labels, Adam())
-    # every conv as one GEMM per operand on the calling thread
+    # every conv unsplit, its tiles one after another on the calling thread
     monkeypatch.setattr(layers, "SPLIT_MIN_ROWS", sys.maxsize)
     monkeypatch.setattr(layers, "in_parallel", lambda first, second: (first(), second()))
     whole = build_reference_model(seed=9, dtype=dtype)
