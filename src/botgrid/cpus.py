@@ -8,7 +8,11 @@ workers on a two-CPU host gets one CPU, and so starts no helper thread and
 uses no reader process (see nn.layers and dataset).
 
 A helper thread lives for one `in_parallel` call, so no thread outlives
-the call that started it, and a process may fork between calls.
+the call that started it, and a process may fork between calls.  An
+`in_parallel` call made on either thread of a call still running (a conv
+inside one of evaluate's chunk workers, see training) finds both CPUs
+taken and runs both halves itself; so does a call whose thread cannot be
+started.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import threading
 
 # How many processes doing the same work share this one's CPUs.
 _processes_sharing = 1
+# .busy is set on both threads of an in_parallel call while it runs.
+_running = threading.local()
 
 
 def sharing_cpus(processes: int, fn, *args):
@@ -42,26 +48,40 @@ def spare_cpu() -> bool:
     return usable_cpus() // _processes_sharing > 1
 
 
+def helper_free() -> bool:
+    """True when an in_parallel call made on this thread would start a
+    helper: the process has a spare CPU and this thread is not one of a
+    running call's two."""
+    return spare_cpu() and not getattr(_running, "busy", False)
+
+
 def in_parallel(first, second):
     """(first(), second()), with first run on a helper thread while this
     thread runs second; numpy's GEMMs and large copies release the GIL, so
-    they overlap.  Both run here when the process has no spare CPU.
-    Returns or raises only once neither is running."""
-    if not spare_cpu():
+    they overlap.  Both run here when the process has no spare CPU, when
+    this thread is already one of a running call's two, or when no thread
+    can be started.  Returns or raises only once neither is running."""
+    if not helper_free():
         return first(), second()
     outcome: list = []
 
     def run_first() -> None:
+        _running.busy = True
         try:
             outcome.append((first(), None))
         except BaseException as exc:
             outcome.append((None, exc))
 
-    helper = threading.Thread(target=run_first, name="botgrid-conv")
-    helper.start()
+    helper = threading.Thread(target=run_first, name="botgrid-helper")
+    try:
+        helper.start()
+    except RuntimeError:  # the process is at its thread or pid limit
+        return first(), second()
+    _running.busy = True
     try:
         second_result = second()
     finally:
+        _running.busy = False
         helper.join()
     first_result, error = outcome[0]
     if error is not None:

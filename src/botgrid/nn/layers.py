@@ -25,9 +25,11 @@ a helper thread that lives for the call (see cpus).
 Forward splits a large enough batch into two halves of whole images, and
 backward makes the weight gradient beside the input gradient.  Every
 GEMM keeps the rows and operands it would have without the helper, so
-results do not depend on scheduling or on the CPU count.  A process
+results do not depend on scheduling or on the CPU count.  A conv that
+can start no helper runs its whole batch on its own thread: in a process
 whose share of the CPUs is one (one of cross_validate's fold workers on
-a two-CPU host) runs both halves itself.  A dense layer runs its GEMM in
+a two-CPU host), and inside inference, whose two threads each forward
+whole chunks (see training).  A dense layer runs its GEMM in
 zero-padded tiles of a fixed row count, so a row gets the same bits
 whatever else its batch holds.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cpus import in_parallel
+from ..cpus import helper_free, in_parallel
 from ..errors import ShapeMismatch
 
 
@@ -158,7 +160,7 @@ class Conv2D:
                     np.maximum(y, 0, out=y)
 
         half = n // 2
-        if half * per_image >= SPLIT_MIN_ROWS:
+        if half * per_image >= SPLIT_MIN_ROWS and helper_free():
             in_parallel(lambda: images(half, n), lambda: images(0, half))
         else:
             images(0, n)

@@ -10,10 +10,12 @@ split so the held-out fold cannot influence the image axes; set
 vocab_from_all to rank permissions over the whole corpus instead.
 
 Inference forwards each distinct image once, in even chunks of at most
-EVAL_BATCH rows.  A forward gives each row the same bits whatever else
-its batch holds, in either dtype, so batch-1 predict and evaluate agree
-on every sample; a conv's split across the helper thread (see nn.layers)
-changes no bits either.
+EVAL_BATCH rows.  The calling thread and one helper thread (see cpus)
+each take the next chunk nobody has taken until none is left, and a conv
+inside a chunk runs unsplit on its thread.  A forward gives each row the
+same bits whatever else its batch holds, in either dtype, so batch-1
+predict and evaluate agree on every sample, and which thread forwards a
+chunk changes no bits either.
 
 Training, likewise, forwards and backpropagates each distinct (image,
 label) row of a batch once, with the summed loss gradient of its copies;
@@ -30,6 +32,7 @@ bits, as the deduplicated rows can.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -47,7 +50,7 @@ from .dataset import (
     extract_corpus,
     label_index,
 )
-from .cpus import sharing_cpus
+from .cpus import in_parallel, sharing_cpus
 from .encoder import encode, normalize
 from .errors import EmptyCorpus, EmptyDataset, NonFiniteLoss
 from .folds import FoldPlan, make_folds
@@ -58,9 +61,12 @@ from .nn.model import CnnModel, build_reference_model
 from .nn.optim import Adam
 from .vocabulary import PermissionVocabulary
 
-# Picked by a sweep of 16, 32 and 64 on the score workload, for speed
-# alone: a row's output has the same bits at any chunk size.
-EVAL_BATCH = 16
+# Inference's two threads each forward one chunk at a time, so 16 rows are
+# in flight, the count a sweep of 16, 32 and 64 picked on the score
+# workload.  16-row chunks on each thread raised evaluate's tracemalloc
+# peak on 64 distinct images from 11.0 to 15.9 MB.  A row's output has the
+# same bits at any chunk size.
+EVAL_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -210,17 +216,28 @@ def _distinct_rows(tensors: np.ndarray, labels: np.ndarray | None = None):
 
 
 def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:
-    """Class per sample, each distinct image forwarded once."""
+    """Class per sample, each distinct image forwarded once; each chunk's
+    classes land in its own slot, whichever thread forwards it."""
     first, inverse = _distinct_rows(tensors)
-    chunks = np.array_split(tensors[first], -(-len(first) // EVAL_BATCH))
-    return np.concatenate([model.predict(chunk) for chunk in chunks])[inverse]
+    chunks = np.array_split(first, -(-len(first) // EVAL_BATCH))
+    predicted: list = [None] * len(chunks)
+    claims = itertools.count()  # next() on a count is atomic under the GIL
+
+    def work() -> None:
+        for i in itertools.takewhile(lambda i: i < len(chunks), claims):
+            predicted[i] = model.predict(tensors[chunks[i]])
+
+    in_parallel(work, work)
+    return np.concatenate(predicted)[inverse]
 
 
 def evaluate(model: CnnModel, tensors: np.ndarray, labels: np.ndarray) -> EvalMetrics:
     """Argmax predictions scored with botnet as the positive class.
 
     Each distinct image is forwarded once, in even chunks of at most
-    EVAL_BATCH rows; a row's output has the same bits at any chunk size.
+    EVAL_BATCH rows that the calling thread and one helper thread take in
+    turn, each chunk's convs unsplit; a row's output has the same bits at
+    any chunk size and on either thread.
     """
     labels = np.asarray(labels)
     if len(tensors) == 0:

@@ -332,6 +332,7 @@ def acceptance_corpus(tmp_path_factory):
     return generate_synthetic_corpus(spec, out)
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_learning(acceptance_corpus, verdict):
     t0 = time.perf_counter()
     config = TrainConfig(epochs=25, batch_size=32, seed=2025, vocab_size=41, k=10)

@@ -327,6 +327,54 @@ def test_in_parallel_leaves_no_thread_behind(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_in_parallel_inside_in_parallel_starts_no_thread(thread_starts, monkeypatch):
+    # Either thread of a running call already has a CPU: a call made on it
+    # runs both halves on that thread.  The mark goes away with the call,
+    # after a return and after an exception alike.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    started = thread_starts
+
+    def nested():
+        return cpus.in_parallel(threading.get_ident, threading.get_ident)
+
+    (a, a_again), (b, b_again) = cpus.in_parallel(nested, nested)
+    assert len(started) == 1
+    assert a == a_again == started[0].ident and b == b_again == threading.get_ident()
+
+    def fails_inside():
+        cpus.in_parallel(lambda: None, lambda: None)
+        raise Boom("after the nested call")
+
+    with pytest.raises(Boom):
+        cpus.in_parallel(lambda: None, fails_inside)
+    assert len(started) == 2 and cpus.helper_free()
+    here, there = cpus.in_parallel(threading.get_ident, threading.get_ident)
+    assert len(started) == 3 and here == started[2].ident != there
+    started[2].join(timeout=10)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_in_parallel_runs_both_halves_here_when_no_thread_can_start(monkeypatch):
+    # A process at its thread or pid limit gets RuntimeError from start().
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+
+    def cannot_start(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    here = threading.get_ident()
+    assert cpus.in_parallel(threading.get_ident, threading.get_ident) == (here, here)
+    assert cpus.helper_free()
+    rng = np.random.default_rng(29)
+    layer = Conv2D(4, 8, (3, 3), rng=rng)
+    x = rng.standard_normal((32, 20, 20, 4))
+    y = layer.forward(x, train=True)
+    layer.backward(rng.standard_normal(y.shape))
+    monkeypatch.undo()  # threads start again: the same bits
+    again = Conv2D(4, 8, (3, 3), rng=np.random.default_rng(29))
+    assert again.forward(x).tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(20, 20, 8, 16, (5, 5), None), (21, 21, 4, 8, (3, 3), (10, 9))])
 def test_a_conv_leaves_no_helper_thread_behind(shape, monkeypatch):
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)

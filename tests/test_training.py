@@ -1,10 +1,12 @@
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from botgrid import training
+from botgrid import cpus, training
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
@@ -27,6 +29,7 @@ from botgrid.vocabulary import PermissionVocabulary
 
 from conv_reference import computing_every_output
 from own_session import run_in_own_session
+from traced_memory import peak_bytes_of
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +359,127 @@ def test_val_acc_matches_inference_without_dedup(small_corpus, monkeypatch):
     monkeypatch.setattr(training, "_predict_distinct", _predict_every_row)
     _, expected = train(tensors, labels, cfg)
     assert [row.val_acc for row in trace] == [row.val_acc for row in expected]
+
+
+def distinct_images(count: int, dtype, seed: int = 0) -> np.ndarray:
+    v = np.random.default_rng(seed).random((count, 41)) < 0.3
+    images = (1.0 - v[:, :, None] * v[:, None, :])[..., None].astype(dtype)
+    assert len(training._distinct_rows(images)[0]) == count
+    return images
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [23, 37])
+def test_chunks_on_two_threads_give_the_bits_of_one_chunk_after_another(
+    count, dtype, monkeypatch
+):
+    # The last chunk is short; each chunk's rows land in its own slot,
+    # whichever thread forwards it.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    images = distinct_images(count, dtype, seed=count)
+    model = build_reference_model(seed=4, dtype=dtype)
+    probabilities = {}
+    forward = model.forward
+
+    def recording_forward(batch, train=False):
+        out = forward(batch, train)
+        probabilities.update((image.tobytes(), row) for image, row in zip(batch, out))
+        return out
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    got = training._predict_distinct(model, images)
+    monkeypatch.undo()
+    # the same chunks one after another, every in_parallel run inline
+    in_line = lambda first, second: (first(), second())  # noqa: E731
+    monkeypatch.setattr(training, "in_parallel", in_line)
+    monkeypatch.setattr(layers, "in_parallel", in_line)
+    chunks = np.array_split(np.arange(count), -(-count // training.EVAL_BATCH))
+    assert len(chunks[-1]) < training.EVAL_BATCH
+    want = np.concatenate([model.forward(images[chunk]) for chunk in chunks])
+    assert b"".join(probabilities[image.tobytes()].tobytes() for image in images) == want.tobytes()
+    assert got.tobytes() == np.argmax(want, axis=1).tobytes()
+
+
+def test_predict_distinct_starts_one_helper_and_leaves_none(thread_starts, monkeypatch):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    started = thread_starts
+    model = build_reference_model(seed=4, dtype=np.float32)
+    images, threads = distinct_images(37, np.float32), threading.active_count()
+    for calls in (1, 2):
+        training._predict_distinct(model, images)
+        assert len(started) == calls
+        assert not started[-1].is_alive() and threading.active_count() == threads
+
+
+class Boom(Exception):
+    pass
+
+
+def test_a_failing_chunk_raises_only_once_the_other_worker_stopped(thread_starts, monkeypatch):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    started = thread_starts
+    model = build_reference_model(seed=4, dtype=np.float32)
+    images = distinct_images(40, np.float32)
+    returned = []
+
+    def slow_or_failing_forward(batch, train=False):
+        if batch.tobytes() == images[: training.EVAL_BATCH].tobytes():
+            raise Boom("the first chunk")
+        time.sleep(0.02)  # still running when the first chunk raises
+        returned.append(batch)
+        return np.zeros((len(batch), 2), np.float32)
+
+    monkeypatch.setattr(model, "forward", slow_or_failing_forward)
+    with pytest.raises(Boom):
+        training._predict_distinct(model, images)
+    assert len(started) == 1 and not started[0].is_alive()
+    # the worker that raised took no other chunk; the other took the rest
+    assert len(returned) == 40 // training.EVAL_BATCH - 1
+
+
+class ChunkRecorder:
+    """A model whose classes are its rows' first values, as Python does it."""
+
+    def __init__(self):
+        self.rows = []
+
+    def predict(self, batch):
+        classes = [int(value) for value in batch[:, 0, 0, 0]]
+        self.rows.extend(classes)
+        return np.array(classes)
+
+
+def test_every_chunk_is_claimed_once_under_fast_thread_switching(monkeypatch):
+    # A chunk claimed twice or skipped would repeat or lose a row.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "EVAL_BATCH", 1)
+    model, rows = ChunkRecorder(), np.arange(2000.0).reshape(-1, 1, 1, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = training._predict_distinct(model, rows)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(model.rows) == list(range(2000))
+    assert got.tolist() == list(range(2000))
+
+
+# evaluate's tracemalloc peak in this test (numpy 2.4.6, CPython 3.11),
+# measured on the code before chunks ran on two threads: one thread
+# forwarded 16-row chunks in turn, each conv split across a helper thread.
+# That code peaked at 8,372,977 bytes with no helper, a figure two threads
+# cannot reach, as each thread running a conv holds a tile buffer of its
+# own (3.1 MB at conv2); the rows in flight can stay where they were.
+PEAK_BEFORE_CHUNK_THREADS = 11_358_076
+
+
+def test_two_chunk_threads_hold_no_more_rows_than_one_did(monkeypatch):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    model = build_reference_model(seed=0, dtype=np.float32)
+    images = distinct_images(64, np.float32)
+    labels = np.arange(64) % 2
+    peak = peak_bytes_of(evaluate, model, images, labels)
+    assert peak <= PEAK_BEFORE_CHUNK_THREADS
 
 
 def test_predict_consistency_with_evaluate(small_corpus):
