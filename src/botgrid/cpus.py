@@ -8,11 +8,11 @@ workers on a two-CPU host gets one CPU, and so starts no helper thread and
 uses no reader process (see nn.layers and dataset).
 
 A helper thread lives for one `in_parallel` call, so no thread outlives
-the call that started it, and a process may fork between calls.  An
-`in_parallel` call made on either thread of a call still running (a conv
-inside one of evaluate's chunk workers, see training) finds both CPUs
-taken and runs both halves itself; so does a call whose thread cannot be
-started.
+the call that started it, and a process may fork between calls.  A call
+whose thread cannot be started runs both halves itself.  No caller nests
+`in_parallel`: evaluate's chunk workers (see training) run inference
+forwards, which never split a conv, and training, whose convs do split,
+never runs inside an `in_parallel` call.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import threading
 
 # How many processes doing the same work share this one's CPUs.
 _processes_sharing = 1
-# .busy is set on both threads of an in_parallel call while it runs.
-_running = threading.local()
 
 
 def sharing_cpus(processes: int, fn, *args):
@@ -48,25 +46,17 @@ def spare_cpu() -> bool:
     return usable_cpus() // _processes_sharing > 1
 
 
-def helper_free() -> bool:
-    """True when an in_parallel call made on this thread would start a
-    helper: the process has a spare CPU and this thread is not one of a
-    running call's two."""
-    return spare_cpu() and not getattr(_running, "busy", False)
-
-
 def in_parallel(first, second):
     """(first(), second()), with first run on a helper thread while this
     thread runs second; numpy's GEMMs and large copies release the GIL, so
-    they overlap.  Both run here when the process has no spare CPU, when
-    this thread is already one of a running call's two, or when no thread
-    can be started.  Returns or raises only once neither is running."""
-    if not helper_free():
+    they overlap.  Both run here when the process has no spare CPU or when
+    no thread can be started.  Returns or raises only once neither is
+    running."""
+    if not spare_cpu():
         return first(), second()
     outcome: list = []
 
     def run_first() -> None:
-        _running.busy = True
         try:
             outcome.append((first(), None))
         except BaseException as exc:
@@ -77,11 +67,9 @@ def in_parallel(first, second):
         helper.start()
     except RuntimeError:  # the process is at its thread or pid limit
         return first(), second()
-    _running.busy = True
     try:
         second_result = second()
     finally:
-        _running.busy = False
         helper.join()
     first_result, error = outcome[0]
     if error is not None:

@@ -11,7 +11,7 @@ the rest.  It gathers its im2col rows from a strided (N, rows, cols, kh,
 kw, C) window view of the padded input in tiles of whole images, one
 copy per tile, and multiplies each tile while it is still in cache.
 Training gathers into the whole batch's im2col matrix, which the backward
-pass keeps; inference reuses one tile-sized buffer per thread and never
+pass keeps; an inference forward reuses one tile-sized buffer and never
 holds the whole matrix.  Max pooling routes each window's gradient to
 the first row-major position holding its maximum.  All layers preserve
 the dtype of their inputs.  A layer's only per-call state is the cache
@@ -20,25 +20,27 @@ holds.  Inference writes no layer state, so it may run between a
 training forward and its backward, and one model may serve concurrent
 calls.
 
-A conv runs its independent GEMMs on two cores: the calling thread and
-a helper thread that lives for the call (see cpus).
-Forward splits a large enough batch into two halves of whole images, and
-backward makes the weight gradient beside the input gradient.  Every
-GEMM keeps the rows and operands it would have without the helper, so
-results do not depend on scheduling or on the CPU count.  A conv that
-can start no helper runs its whole batch on its own thread: in a process
-whose share of the CPUs is one (one of cross_validate's fold workers on
-a two-CPU host), and inside inference, whose two threads each forward
-whole chunks (see training).  A dense layer runs its GEMM in
-zero-padded tiles of a fixed row count, so a row gets the same bits
-whatever else its batch holds.
+In training, a conv runs its independent GEMMs on two cores: the
+calling thread and a helper thread that lives for the call (see cpus).
+A training forward splits a large enough batch into two halves of whole
+images, and backward makes the weight gradient beside the input
+gradient.  Every GEMM keeps the rows and operands it would have without
+the helper, so results do not depend on scheduling or on the CPU count.
+In a process whose share of the CPUs is one (one of cross_validate's
+fold workers on a two-CPU host), a conv runs its whole forward batch and
+both backward GEMMs on its own thread.  An inference forward never
+splits: inference uses the second core by forwarding whole chunks on two
+threads (see training), so a conv inside a chunk runs its whole batch on
+its thread and never calls `in_parallel` inside another call.  A dense
+layer runs its GEMM in zero-padded tiles of a fixed row count, so a row
+gets the same bits whatever else its batch holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cpus import helper_free, in_parallel
+from ..cpus import in_parallel, spare_cpu
 from ..errors import ShapeMismatch
 
 
@@ -160,7 +162,7 @@ class Conv2D:
                     np.maximum(y, 0, out=y)
 
         half = n // 2
-        if half * per_image >= SPLIT_MIN_ROWS and helper_free():
+        if train and half * per_image >= SPLIT_MIN_ROWS and spare_cpu():
             in_parallel(lambda: images(half, n), lambda: images(0, half))
         else:
             images(0, n)

@@ -211,12 +211,6 @@ def _read_extents(specs, shapes) -> list[tuple[int, int] | None]:
     return extents
 
 
-def build_model(
-    specs, input_shape: tuple[int, int, int], seed: int = 0, dtype=np.float32
-) -> CnnModel:
-    return CnnModel(tuple(specs), input_shape, seed, dtype)
-
-
 def build_reference_model(seed: int = 0, n: int = 41, dtype=np.float32) -> CnnModel:
     return CnnModel(REFERENCE_LAYERS, (n, n, 1), seed, dtype)
 

@@ -11,11 +11,13 @@ vocab_from_all to rank permissions over the whole corpus instead.
 
 Inference forwards each distinct image once, in even chunks of at most
 EVAL_BATCH rows.  The calling thread and one helper thread (see cpus)
-each take the next chunk nobody has taken until none is left, and a conv
-inside a chunk runs unsplit on its thread.  A forward gives each row the
-same bits whatever else its batch holds, in either dtype, so batch-1
-predict and evaluate agree on every sample, and which thread forwards a
-chunk changes no bits either.
+each take the next chunk nobody has taken until none is left; an
+inference forward never splits a conv, so each chunk runs on one thread
+and no `in_parallel` call runs inside another.  Only train_step's convs
+split, and training never runs inside an `in_parallel` call.  A forward
+gives each row the same bits whatever else its batch holds, in either
+dtype, so batch-1 predict and evaluate agree on every sample, and which
+thread forwards a chunk changes no bits either.
 
 Training, likewise, forwards and backpropagates each distinct (image,
 label) row of a batch once, with the summed loss gradient of its copies;
@@ -236,7 +238,7 @@ def evaluate(model: CnnModel, tensors: np.ndarray, labels: np.ndarray) -> EvalMe
 
     Each distinct image is forwarded once, in even chunks of at most
     EVAL_BATCH rows that the calling thread and one helper thread take in
-    turn, each chunk's convs unsplit; a row's output has the same bits at
+    turn, each chunk on one thread; a row's output has the same bits at
     any chunk size and on either thread.
     """
     labels = np.asarray(labels)

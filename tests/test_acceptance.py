@@ -19,8 +19,9 @@ from botgrid.encoder import encode
 from botgrid.errors import ParseError
 from botgrid.manifest import PermissionSet
 from botgrid.metrics import ConfusionCounts, compute_metrics
-from botgrid.nn import Adam, LayerSpec, bce_loss, build_model, build_reference_model
+from botgrid.nn import Adam, LayerSpec, bce_loss, build_reference_model
 from botgrid.nn.loss import CLAMP_EPS
+from botgrid.nn.model import CnnModel
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import TrainConfig, cross_validate
 from botgrid.vocabulary import PermissionVocabulary
@@ -138,7 +139,7 @@ def test_criterion_2_gradient_correctness(verdict):
     # end-to-end loss gradient on the reduced 9x9 architecture
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        model = build_model(REDUCED_9X9, (9, 9, 1), seed=seed, dtype=np.float64)
+        model = CnnModel(REDUCED_9X9, (9, 9, 1), seed=seed, dtype=np.float64)
         x = rng.random((3, 9, 9, 1))
         y = np.array([0, 1, 1])
 

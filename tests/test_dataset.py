@@ -409,7 +409,7 @@ def recording_first_thread(first, second):
 layers.in_parallel = recording_first_thread
 conv = layers.Conv2D(1, 4, (3, 3))
 x = np.ones((8, 20, 20, 1))
-want = conv.forward(x)
+want = conv.forward(x, train=True)
 assert helpers and threading.main_thread() not in helpers
 assert threading.active_count() == 1
 records = generate_synthetic_corpus(SynthSpec(n_botnet=20, n_benign=20, seed=3), sys.argv[1])
@@ -421,7 +421,7 @@ for i, record in enumerate(records[:20]):  # half of them as manifests
 corpus = dataset.extract_corpus(records)
 assert forked == [1] and len(corpus.perm_sets) == 40
 reader = dataset._reader
-assert conv.forward(x).tobytes() == want.tobytes()
+assert conv.forward(x, train=True).tobytes() == want.tobytes()
 assert dataset.extract_corpus(records) == corpus and forked == [1]
 assert dataset._reader is reader is not None
 print("ok")

@@ -8,7 +8,7 @@ from botgrid import cpus
 from botgrid.errors import ShapeMismatch
 from botgrid.nn import layers
 from botgrid.nn.layers import Conv2D, Dense, MaxPool2D, Softmax
-from botgrid.nn.model import LayerSpec, build_model
+from botgrid.nn.model import CnnModel, LayerSpec
 
 from traced_memory import peak_bytes_of
 
@@ -277,6 +277,21 @@ def test_inference_conv_keeps_no_whole_batch_im2col(monkeypatch):
     assert layer._cache[2].tobytes() == whole_cols.tobytes()
 
 
+def test_an_inference_conv_never_splits(thread_starts, monkeypatch):
+    # conv2's geometry at batch 33: a training forward splits it into two
+    # halves on two threads; an inference forward runs all 33 images on the
+    # calling thread, in the same bytes.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    started = thread_starts
+    rng = np.random.default_rng(41)
+    layer = Conv2D(32, 128, (5, 5), rng=rng, dtype=np.float32, extent=(20, 20))
+    x = rng.standard_normal((33, 20, 20, 32), dtype=np.float32)
+    y = layer.forward(x)
+    assert started == []
+    assert layer.forward(x, train=True).tobytes() == y.tobytes()
+    assert len(started) == 1
+
+
 def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):
     # as each of cross_validate's two fold workers on a two-CPU host does
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
@@ -327,33 +342,6 @@ def test_in_parallel_leaves_no_thread_behind(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_in_parallel_inside_in_parallel_starts_no_thread(thread_starts, monkeypatch):
-    # Either thread of a running call already has a CPU: a call made on it
-    # runs both halves on that thread.  The mark goes away with the call,
-    # after a return and after an exception alike.
-    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    started = thread_starts
-
-    def nested():
-        return cpus.in_parallel(threading.get_ident, threading.get_ident)
-
-    (a, a_again), (b, b_again) = cpus.in_parallel(nested, nested)
-    assert len(started) == 1
-    assert a == a_again == started[0].ident and b == b_again == threading.get_ident()
-
-    def fails_inside():
-        cpus.in_parallel(lambda: None, lambda: None)
-        raise Boom("after the nested call")
-
-    with pytest.raises(Boom):
-        cpus.in_parallel(lambda: None, fails_inside)
-    assert len(started) == 2 and cpus.helper_free()
-    here, there = cpus.in_parallel(threading.get_ident, threading.get_ident)
-    assert len(started) == 3 and here == started[2].ident != there
-    started[2].join(timeout=10)
-    assert not any(thread.is_alive() for thread in started)
-
-
 def test_in_parallel_runs_both_halves_here_when_no_thread_can_start(monkeypatch):
     # A process at its thread or pid limit gets RuntimeError from start().
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
@@ -364,7 +352,6 @@ def test_in_parallel_runs_both_halves_here_when_no_thread_can_start(monkeypatch)
     monkeypatch.setattr(threading.Thread, "start", cannot_start)
     here = threading.get_ident()
     assert cpus.in_parallel(threading.get_ident, threading.get_ident) == (here, here)
-    assert cpus.helper_free()
     rng = np.random.default_rng(29)
     layer = Conv2D(4, 8, (3, 3), rng=rng)
     x = rng.standard_normal((32, 20, 20, 4))
@@ -372,7 +359,7 @@ def test_in_parallel_runs_both_halves_here_when_no_thread_can_start(monkeypatch)
     layer.backward(rng.standard_normal(y.shape))
     monkeypatch.undo()  # threads start again: the same bits
     again = Conv2D(4, 8, (3, 3), rng=np.random.default_rng(29))
-    assert again.forward(x).tobytes() == y.tobytes()
+    assert again.forward(x, train=True).tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(20, 20, 8, 16, (5, 5), None), (21, 21, 4, 8, (3, 3), (10, 9))])
@@ -566,7 +553,7 @@ def test_maxpool_input_too_small():
 def test_maxpool_requires_stride_equal_kernel():
     spec = LayerSpec("maxpool", kernel=(2, 2), stride=(1, 1))
     with pytest.raises(ShapeMismatch, match="pooling requires stride == kernel"):
-        build_model([spec], (4, 4, 1))
+        CnnModel([spec], (4, 4, 1))
 
 
 # --- Dense ---

@@ -21,7 +21,6 @@ from botgrid.nn.model import (
     CnnModel,
     LayerSpec,
     REFERENCE_LAYERS,
-    build_model,
     build_reference_model,
     load_model,
     save_model,
@@ -102,7 +101,7 @@ def test_invalid_stack_rejected_at_build():
         LayerSpec("maxpool", kernel=(2, 2), stride=(2, 2)),
     )
     with pytest.raises(ShapeMismatch):
-        build_model(specs, (3, 3, 1), seed=0)  # second pool sees a 1x1 input
+        CnnModel(specs, (3, 3, 1), seed=0)  # second pool sees a 1x1 input
 
 
 REDUCED = (
@@ -117,7 +116,7 @@ REDUCED = (
 
 
 def test_save_load_round_trip(tmp_path):
-    model = build_model(REDUCED, (9, 9, 1), seed=21, dtype=np.float64)
+    model = CnnModel(REDUCED, (9, 9, 1), seed=21, dtype=np.float64)
     x = np.random.default_rng(1).random((3, 9, 9, 1))
     before = model.forward(x)
     path = tmp_path / "model.bin"
@@ -146,7 +145,7 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_future_version(tmp_path):
-    model = build_model(REDUCED, (9, 9, 1), seed=0)
+    model = CnnModel(REDUCED, (9, 9, 1), seed=0)
     path = tmp_path / "model.bin"
     save_model(model, path)
     blob = bytearray(path.read_bytes())
@@ -157,7 +156,7 @@ def test_load_rejects_future_version(tmp_path):
 
 
 def test_load_rejects_truncation(tmp_path):
-    model = build_model(REDUCED, (9, 9, 1), seed=0)
+    model = CnnModel(REDUCED, (9, 9, 1), seed=0)
     path = tmp_path / "model.bin"
     save_model(model, path)
     blob = path.read_bytes()
@@ -167,7 +166,7 @@ def test_load_rejects_truncation(tmp_path):
 
 
 def test_load_rejects_flipped_payload_byte(tmp_path):
-    model = build_model(REDUCED, (9, 9, 1), seed=0)
+    model = CnnModel(REDUCED, (9, 9, 1), seed=0)
     path = tmp_path / "model.bin"
     save_model(model, path)
     blob = bytearray(path.read_bytes())
@@ -178,7 +177,7 @@ def test_load_rejects_flipped_payload_byte(tmp_path):
 
 
 def test_inference_does_not_mutate_state():
-    model = build_model(REDUCED, (9, 9, 1), seed=4, dtype=np.float64)
+    model = CnnModel(REDUCED, (9, 9, 1), seed=4, dtype=np.float64)
     x = np.random.default_rng(3).random((2, 9, 9, 1))
     p1 = model.forward(x)
     p2 = model.forward(x)
@@ -259,13 +258,13 @@ def test_each_conv_computes_only_what_a_later_layer_reads():
             if isinstance(layer, Conv2D)
         ]
         assert conv_extents(model) == whole
-    assert conv_extents(build_model(REDUCED, (9, 9, 1)))[0] == (8, 8)
+    assert conv_extents(CnnModel(REDUCED, (9, 9, 1)))[0] == (8, 8)
 
 
 INFERENCE_MODELS = {
     "n41": lambda dtype: build_reference_model(seed=6, dtype=dtype),
     "n23": lambda dtype: build_reference_model(seed=6, n=23, dtype=dtype),
-    "reduced9x9": lambda dtype: build_model(REDUCED, (9, 9, 1), seed=6, dtype=dtype),
+    "reduced9x9": lambda dtype: CnnModel(REDUCED, (9, 9, 1), seed=6, dtype=dtype),
 }
 
 
@@ -322,7 +321,7 @@ def with_trailing_bytes(blob: bytes, extra: bytes) -> bytes:
 
 
 def save_reduced_with_trailing_bytes(path) -> None:
-    save_model(build_model(REDUCED, (9, 9, 1), seed=21), path)
+    save_model(CnnModel(REDUCED, (9, 9, 1), seed=21), path)
     path.write_bytes(with_trailing_bytes(path.read_bytes(), bytes(8)))
 
 
@@ -401,7 +400,7 @@ STRIDED = (
     ids=["reference", "reduced", "strided-7x8"],
 )
 def test_allocation_bound_counts_what_the_model_allocates(tmp_path, specs, input_shape):
-    model = build_model(specs, input_shape, seed=0)
+    model = CnnModel(specs, input_shape, seed=0)
     x = np.zeros((1, *input_shape), model.dtype)
     seen = []
     for layer in model.layers:
@@ -446,7 +445,7 @@ def _fuzzed_model_files(blob: bytes):
 
 
 def test_fuzzed_model_file_loads_or_is_a_parse_error(tmp_path):
-    save_model(build_model(REDUCED, (9, 9, 1), seed=21), tmp_path / "model.bin")
+    save_model(CnnModel(REDUCED, (9, 9, 1), seed=21), tmp_path / "model.bin")
     blob = (tmp_path / "model.bin").read_bytes()
     path = tmp_path / "fuzzed.bin"
     sampled = []  # (file bytes, exit code predict should give)

@@ -411,6 +411,24 @@ def test_predict_distinct_starts_one_helper_and_leaves_none(thread_starts, monke
         assert not started[-1].is_alive() and threading.active_count() == threads
 
 
+def test_thread_budget_of_a_train_step_and_an_evaluate(thread_starts, monkeypatch):
+    # With a spare CPU, a batch-32 train_step splits the forwards of conv1,
+    # conv2 and conv3 (conv4's halves fall under SPLIT_MIN_ROWS) and runs the
+    # backwards of conv2, conv3 and conv4 on two threads; conv1 makes no input
+    # gradient.  evaluate's chunk workers start one thread, and their
+    # inference forwards none.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    started = thread_starts
+    model = build_reference_model(seed=4, dtype=np.float32)
+    images = distinct_images(37, np.float32)
+    labels = np.arange(37) % 2
+    train_step(model, images[:32], labels[:32], Adam())
+    assert len(started) == 6
+    evaluate(model, images, labels)
+    assert len(started) == 7
+    assert not any(thread.is_alive() for thread in started)
+
+
 class Boom(Exception):
     pass
 
@@ -563,7 +581,7 @@ def recording_first_thread(first, second):
     return in_parallel(lambda: helpers.append(threading.current_thread()) or first(), second)
 
 layers.in_parallel = recording_first_thread
-layers.Conv2D(1, 4, (3, 3)).forward(np.ones((8, 20, 20, 1)))
+layers.Conv2D(1, 4, (3, 3)).forward(np.ones((8, 20, 20, 1)), train=True)
 assert helpers and threading.main_thread() not in helpers
 spec = SynthSpec(n_botnet=12, n_benign=12, pool_size=20, noise_rate=0.2, seed=3)
 records = generate_synthetic_corpus(spec, sys.argv[1])
