@@ -16,9 +16,11 @@ holds the whole matrix.  Max pooling routes each window's gradient to
 the first row-major position holding its maximum.  All layers preserve
 the dtype of their inputs.  A layer's only per-call state is the cache
 for the backward pass, recorded when train=True and owning the arrays it
-holds.  Inference writes no layer state, so it may run between a
-training forward and its backward, and one model may serve concurrent
-calls.
+holds.  A layer keeps its cache until its next training forward replaces
+it, so its backward may run more than once; CnnModel.backward releases
+each layer's cache once that layer's backward has run.  Inference writes
+no layer state, so it may run between a training forward and its
+backward, and one model may serve concurrent calls.
 
 In training, a conv runs its independent GEMMs on two cores: the
 calling thread and a helper thread that lives for the call (see cpus).

@@ -131,13 +131,18 @@ class CnnModel:
     def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         """Store every layer's parameter gradients.  Returns the input
         gradient, or None when the first layer is a Conv2D: nothing reads
-        the gradient of the input images, so that layer skips it."""
+        the gradient of the input images, so that layer skips it.
+
+        Each layer's backward cache is released as soon as its backward
+        returns, so a model holds no cache between training steps and the
+        next step's forward does not allocate beside the last step's."""
         g = grad_output
         for layer in reversed(self.layers):
             if layer is self.layers[0] and isinstance(layer, Conv2D):
-                layer.backward(g, need_input_grad=False)
-                return None
-            g = layer.backward(g)
+                g = layer.backward(g, need_input_grad=False)
+            else:
+                g = layer.backward(g)
+            layer._cache = None
         return g
 
     def predict(self, batch: np.ndarray) -> np.ndarray:

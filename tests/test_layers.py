@@ -433,6 +433,19 @@ def test_conv_backward_is_linear():
     assert np.allclose(3.5 * gw1, layer.grad_weights, atol=1e-11)
 
 
+def test_a_bare_conv_keeps_its_cache_after_backward():
+    # The layer contract: the cache lives until the next training forward,
+    # so backward may run twice.  Only CnnModel.backward releases it.
+    rng = np.random.default_rng(5)
+    layer = Conv2D(2, 3, (3, 3), rng=rng, dtype=np.float32)
+    layer.forward(rng.standard_normal((2, 5, 5, 2), dtype=np.float32), train=True)
+    cache = layer._cache
+    g = rng.standard_normal((2, 5, 5, 3), dtype=np.float32)
+    gx = layer.backward(g)
+    assert layer._cache is cache
+    assert layer.backward(g).tobytes() == gx.tobytes()
+
+
 def test_conv_gradients_match_finite_differences():
     for seed in range(10):
         rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,45 @@ def test_thread_budget_of_a_train_step_and_an_evaluate(thread_starts, monkeypatc
     evaluate(model, images, labels)
     assert len(started) == 7
     assert not any(thread.is_alive() for thread in started)
+
+
+def test_no_layer_keeps_a_cache_after_training(small_corpus):
+    _, _, _, tensors, labels = small_corpus
+    model = build_reference_model(seed=4, n=16, dtype=np.float32)
+    train_step(model, tensors[:32].astype(np.float32), labels[:32], Adam())
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
+    model, _ = train(tensors, labels, TrainConfig(epochs=1, seed=1, vocab_size=16))
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
+
+
+def test_a_train_step_does_not_hold_the_last_steps_im2col(monkeypatch):
+    # Each layer's cache is released once its backward has run, so the
+    # second step's conv2 forward does not allocate its whole-batch im2col
+    # matrix (10,368 rows x 800 float32, 33.2 MB) beside the first step's.
+    # The first step runs traced, so what it leaves counts.  The bound is
+    # two conv2 matrices, the conv1 matrix that the second step's forward
+    # holds by then, and the gradients and Adam's two moments (three copies
+    # of the parameters) that the first step leaves for good: a step that
+    # still held the last step's conv2 matrix cannot stay under it.
+    # Measured (numpy 2.4.6, CPython 3.11): 103.1 MB when each layer kept
+    # its cache until its next training forward, 73.5 MB with the release.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    images = distinct_images(32, np.float32)
+    labels = np.arange(32) % 2
+    probe = build_reference_model(seed=0, dtype=np.float32)
+    probe.forward(images, train=True)
+    conv1, conv2 = [layer._cache[2].nbytes for layer in probe.layers if isinstance(layer, Conv2D)][:2]
+    params = sum(p.nbytes for p in probe.params())
+    bound = 2 * conv2 + conv1 + 3 * params
+
+    model, adam = build_reference_model(seed=0, dtype=np.float32), Adam()
+
+    def second_step():
+        train_step(model, images, labels, adam)
+        tracemalloc.reset_peak()
+        train_step(model, images, labels, adam)
+
+    assert peak_bytes_of(second_step) < bound
 
 
 class Boom(Exception):
