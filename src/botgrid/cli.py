@@ -18,7 +18,7 @@ from . import __version__
 from .dataset import encode_corpus, label_index, load_dataset_manifest
 from .encoder import dump_pgm, encode
 from .errors import BotgridError, NonFiniteLoss, ParseError
-from .manifest import KINDS, read_permissions, sniff_kind, write_permission_list
+from .manifest import KINDS, read_permissions, read_text, sniff_kind, write_permission_list
 from .nn.model import load_model, save_model
 from .synth import SynthSpec, generate_synthetic_corpus
 from .training import (
@@ -123,11 +123,11 @@ def _load_fields(path, cls, what: str) -> dict:
         except ValueError as exc:  # more digits than int() converts
             raise ParseError(f"{path}: {exc}") from None
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            loaded = json.load(fh, parse_int=parse_int)
-        except RecursionError:
-            raise ParseError(f"{path}: JSON nested too deeply") from None
+    text = read_text(path)
+    try:
+        loaded = json.loads(text, parse_int=parse_int)
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}

@@ -14,13 +14,9 @@ Training gathers into the whole batch's im2col matrix, which the backward
 pass keeps; an inference forward reuses one tile-sized buffer and never
 holds the whole matrix.  Max pooling routes each window's gradient to
 the first row-major position holding its maximum.  All layers preserve
-the dtype of their inputs.  A layer's only per-call state is the cache
-for the backward pass, recorded when train=True and owning the arrays it
-holds.  A layer keeps its cache until its next training forward replaces
-it, so its backward may run more than once; CnnModel.backward releases
-each layer's cache once that layer's backward has run.  Inference writes
-no layer state, so it may run between a training forward and its
-backward, and one model may serve concurrent calls.
+the dtype of their inputs.  Every layer derives from `_Layer`, whose
+docstring states the contract of the backward cache, and the two weighted
+layers from `_Weighted`, which draws their seeded weights.
 
 In training, a conv runs its independent GEMMs on two cores: the
 calling thread and a helper thread that lives for the call (see cpus).
@@ -39,6 +35,8 @@ gets the same bits whatever else its batch holds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,11 +60,6 @@ SPLIT_MIN_ROWS = TILE_ROWS // 2
 DENSE_TILE_ROWS = 4
 
 
-def _relu_std(relu: bool, fan_in: int) -> float:
-    # sqrt(2/fan_in) for ReLU layers, sqrt(1/fan_in) for linear ones.
-    return float(np.sqrt((2.0 if relu else 1.0) / fan_in))
-
-
 def _image_tiles(lo: int, hi: int, rows_per_image: int) -> list[tuple[int, int]]:
     """Images [lo, hi) as (start, stop) tiles of about TILE_ROWS rows: at
     least one tile, none empty, and whole images of even counts."""
@@ -82,7 +75,61 @@ def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, lo, total - lo
 
 
-class Conv2D:
+class _Layer:
+    """What every layer owes `CnnModel` and `Adam`: its parameters, their
+    gradients, and the cache for its backward pass.
+
+    The cache is a layer's only per-call state.  A training forward
+    (train=True) records it, owning the arrays it holds, and backward reads
+    it.  A layer keeps its cache until its next training forward replaces
+    it, so its backward may run more than once; CnnModel.backward releases
+    each layer's cache once that layer's backward has run.  Inference writes
+    no layer state, so it may run between a training forward and its
+    backward, and one model may serve concurrent calls."""
+
+    _cache = None
+
+    def _cached(self):
+        if self._cache is None:
+            raise RuntimeError("backward before forward(train=True)")
+        return self._cache
+
+    @staticmethod
+    def _check_grad(grad: np.ndarray, expected: tuple[int, ...]) -> None:
+        if grad.shape != expected:
+            raise ShapeMismatch(f"grad shape {grad.shape} != {expected}")
+
+    def params(self) -> list[np.ndarray]:
+        return []
+
+    def grads(self) -> list[np.ndarray]:
+        return []
+
+
+class _Weighted(_Layer):
+    """A layer with weights of `shape` drawn from `rng` (seed 0 if None) and
+    a zero bias.  The last axis of `shape` is the layer's outputs; the
+    others make up its fan-in."""
+
+    def __init__(self, shape: tuple[int, ...], relu: bool, rng, dtype):
+        self.relu = relu
+        self.dtype = np.dtype(dtype)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        # sqrt(2/fan_in) for ReLU layers, sqrt(1/fan_in) for linear ones
+        std = float(np.sqrt((2.0 if relu else 1.0) / math.prod(shape[:-1])))
+        self.weights = rng.standard_normal(shape, dtype=self.dtype) * std
+        self.bias = np.zeros(shape[-1], dtype=self.dtype)
+        self.grad_weights: np.ndarray | None = None
+        self.grad_bias: np.ndarray | None = None
+
+    def params(self) -> list[np.ndarray]:
+        return [self.weights, self.bias]
+
+    def grads(self) -> list[np.ndarray]:
+        return [self.grad_weights, self.grad_bias]
+
+
+class Conv2D(_Weighted):
     """Convolution with "same" padding and an optional fused ReLU.
 
     `extent` is the (rows, cols) at the top left of the output that a later
@@ -111,18 +158,8 @@ class Conv2D:
         self.out_channels = out_channels
         self.kernel = (kh, kw)
         self.stride = tuple(stride)
-        self.relu = relu
         self.extent = extent
-        self.dtype = np.dtype(dtype)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        std = _relu_std(relu, kh * kw * in_channels)
-        self.weights = (
-            rng.standard_normal((kh, kw, in_channels, out_channels), dtype=self.dtype) * std
-        )
-        self.bias = np.zeros(out_channels, dtype=self.dtype)
-        self.grad_weights: np.ndarray | None = None
-        self.grad_bias: np.ndarray | None = None
-        self._cache = None
+        super().__init__((kh, kw, in_channels, out_channels), relu, rng, dtype)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -177,17 +214,12 @@ class Conv2D:
         return np.pad(y, ((0, 0), (0, out_h - eh), (0, out_w - ew), (0, 0)))
 
     def backward(self, grad: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward before forward(train=True)")
-        x_shape, (pad_top, pad_left), cols2, mask, (eh, ew) = self._cache
+        x_shape, (pad_top, pad_left), cols2, mask, (eh, ew) = self._cached()
         n, h, w, cin = x_shape
         kh, kw = self.kernel
         sh, sw = self.stride
         out_h, out_w = _same_padding(h, kh, sh)[0], _same_padding(w, kw, sw)[0]
-        if grad.shape != (n, out_h, out_w, self.out_channels):
-            raise ShapeMismatch(
-                f"grad shape {grad.shape} != {(n, out_h, out_w, self.out_channels)}"
-            )
+        self._check_grad(grad, (n, out_h, out_w, self.out_channels))
         # No later layer reads an output past the extent: its gradient is 0.
         g = grad[:, :eh, :ew]
         if mask is not None:
@@ -222,14 +254,8 @@ class Conv2D:
         self.grad_weights, grad_input = in_parallel(weight_gradient, input_gradient)
         return grad_input
 
-    def params(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
 
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_weights, self.grad_bias]
-
-
-class MaxPool2D:
+class MaxPool2D(_Layer):
     """Non-overlapping max pooling (the stride is the kernel); trailing
     rows/columns that do not fill a window are dropped (floor semantics)."""
 
@@ -237,7 +263,6 @@ class MaxPool2D:
         if kernel[0] < 1 or kernel[1] < 1:
             raise ShapeMismatch(f"invalid pooling kernel {kernel}")
         self.kernel = tuple(kernel)
-        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
@@ -261,14 +286,11 @@ class MaxPool2D:
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward before forward(train=True)")
-        x_shape, winner = self._cache
+        x_shape, winner = self._cached()
         n, h, w, c = x_shape
         kh, kw = self.kernel
         out_h, out_w = h // kh, w // kw
-        if grad.shape != (n, out_h, out_w, c):
-            raise ShapeMismatch(f"grad shape {grad.shape} != {(n, out_h, out_w, c)}")
+        self._check_grad(grad, (n, out_h, out_w, c))
         gx = np.zeros(x_shape, dtype=grad.dtype)
         # A bit mask copies grad exactly where the slot won and +0.0 elsewhere
         # (a multiply by 0 gives -0.0 and nan), far faster than copyto(where=).
@@ -283,14 +305,8 @@ class MaxPool2D:
         kh, kw = self.kernel
         return [x[:, i : out_h * kh : kh, j : out_w * kw : kw, :] for i in range(kh) for j in range(kw)]
 
-    def params(self) -> list[np.ndarray]:
-        return []
 
-    def grads(self) -> list[np.ndarray]:
-        return []
-
-
-class Dense:
+class Dense(_Weighted):
     """Affine map with optional ReLU; multi-axis inputs are flattened
     row-major, and the backward pass restores the original shape."""
 
@@ -306,15 +322,7 @@ class Dense:
             raise ShapeMismatch(f"invalid features {in_features} -> {out_features}")
         self.in_features = in_features
         self.out_features = out_features
-        self.relu = relu
-        self.dtype = np.dtype(dtype)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        std = _relu_std(relu, in_features)
-        self.weights = rng.standard_normal((in_features, out_features), dtype=self.dtype) * std
-        self.bias = np.zeros(out_features, dtype=self.dtype)
-        self.grad_weights: np.ndarray | None = None
-        self.grad_bias: np.ndarray | None = None
-        self._cache = None
+        super().__init__((in_features, out_features), relu, rng, dtype)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         n = x.shape[0]
@@ -334,31 +342,17 @@ class Dense:
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward before forward(train=True)")
-        x_shape, x2, mask = self._cache
-        if grad.shape != (x2.shape[0], self.out_features):
-            raise ShapeMismatch(
-                f"grad shape {grad.shape} != {(x2.shape[0], self.out_features)}"
-            )
+        x_shape, x2, mask = self._cached()
+        self._check_grad(grad, (x2.shape[0], self.out_features))
         if mask is not None:
             grad = grad * mask
         self.grad_bias = grad.sum(axis=0)
         self.grad_weights = x2.T @ grad
         return (grad @ self.weights.T).reshape(x_shape)
 
-    def params(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
 
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_weights, self.grad_bias]
-
-
-class Softmax:
+class Softmax(_Layer):
     """Row-wise softmax with max subtraction for overflow safety."""
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 2:
@@ -371,16 +365,7 @@ class Softmax:
         return probs
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward before forward(train=True)")
-        probs = self._cache
-        if grad.shape != probs.shape:
-            raise ShapeMismatch(f"grad shape {grad.shape} != {probs.shape}")
+        probs = self._cached()
+        self._check_grad(grad, probs.shape)
         inner = (grad * probs).sum(axis=1, keepdims=True)
         return probs * (grad - inner)
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []

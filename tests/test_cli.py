@@ -339,7 +339,7 @@ def test_exit_codes(tmp_path, corpus_dir, monkeypatch, capsys):
     assert "numeric divergence" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["extract", "encode", "vocab"])
+@pytest.mark.parametrize("command", ["extract", "encode", "vocab", "cv --config", "synth --spec"])
 def test_text_input_that_is_not_utf8_exits_parse(tmp_path, corpus_dir, capsys, command):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"android.permission.INTERNET\n\xff\n")
@@ -349,6 +349,8 @@ def test_text_input_that_is_not_utf8_exits_parse(tmp_path, corpus_dir, capsys, c
         "encode": ["encode", sample, "--kind", "permlist", "--vocab", str(bad),
                    "--out", str(tmp_path / "img.pgm")],
         "vocab": ["vocab", "--manifest", str(bad), "--out", str(tmp_path / "v.txt")],
+        "cv --config": ["cv", "--manifest", str(corpus_dir / "data.csv"), "--config", str(bad)],
+        "synth --spec": ["synth", "--spec", str(bad), "--out", str(tmp_path / "c")],
     }[command]
     capsys.readouterr()
     assert main(argv) == 3
@@ -416,6 +418,26 @@ def test_json_settings_files_are_checked(tmp_path, capsys):
     cfg.write_text("[]")
     assert main(["cv", "--manifest", str(tmp_path / "data.csv"), "--config", str(cfg)]) == 1
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("cv", "--config"), ("synth", "--spec")])
+def test_json_settings_with_a_bom_load(tmp_path, corpus_dir, command, flag):
+    # A leading BOM is read past, as in every other text input.
+    if command == "cv":
+        settings = {"k": 2, "epochs": 1, "vocab_size": 16, "seed": 3}
+        target = ["--manifest", str(corpus_dir / "data.csv"), "--report"]
+    else:
+        settings = {"n_botnet": 4, "n_benign": 4, "pool_size": 12,
+                    "botnet_signature_size": 3, "benign_signature_size": 2, "seed": 3}
+        target = ["--out"]
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(json.dumps(settings).encode(encoding))
+        out = tmp_path / f"{encoding}.out"
+        assert main([command, flag, str(path)] + target + [str(out)]) == 0, encoding
+        outputs.append(out.read_bytes() if command == "cv" else (out / "data.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_dataset_csv_with_an_oversized_field_exits_parse(tmp_path, capsys):

@@ -648,3 +648,27 @@ def test_relu_idempotent_and_non_negative():
     once = layer.forward(x)
     assert np.all(once >= 0)
     assert np.array_equal(layer.forward(once), once)  # relu(relu(x)) == relu(x)
+
+
+# --- every layer ---
+
+@pytest.mark.parametrize(
+    "make, x_shape",
+    [
+        (lambda: Conv2D(2, 3, (3, 3), dtype=np.float64), (2, 5, 5, 2)),
+        (lambda: MaxPool2D((2, 2)), (2, 4, 4, 3)),
+        (lambda: Dense(6, 4, relu=True, dtype=np.float64), (2, 6)),
+        (Softmax, (2, 4)),
+    ],
+    ids=["Conv2D", "MaxPool2D", "Dense", "Softmax"],
+)
+def test_backward_before_a_training_forward_raises(make, x_shape):
+    layer = make()
+    x = np.random.default_rng(12).standard_normal(x_shape)
+    grad = np.ones_like(layer.forward(x, train=True))
+    fresh = make()
+    with pytest.raises(RuntimeError, match=r"backward before forward\(train=True\)"):
+        fresh.backward(grad)
+    fresh.forward(x)  # inference records no cache
+    with pytest.raises(RuntimeError, match=r"backward before forward\(train=True\)"):
+        fresh.backward(grad)
