@@ -23,7 +23,6 @@ from .manifest import (
     PermissionSet,
     extract_permissions,
     parse_manifest_bytes,
-    parse_permission_list,
     parse_plain_manifest,
     read_permissions,
     sniff_kind,

@@ -18,7 +18,7 @@ from . import __version__
 from .dataset import encode_corpus, label_index, load_dataset_manifest
 from .encoder import dump_pgm, encode
 from .errors import BotgridError, NonFiniteLoss, ParseError
-from .manifest import KINDS, read_permissions, read_text, sniff_kind, write_permission_list
+from .manifest import KINDS, read_permissions, read_text, sniff_kind, write_names
 from .nn.model import load_model, save_model
 from .synth import SynthSpec, generate_synthetic_corpus
 from .training import (
@@ -158,7 +158,7 @@ def _cmd_extract(args) -> int:
     kind = args.kind or sniff_kind(args.input)
     perms = read_permissions(args.input, kind)
     if args.out:
-        write_permission_list(perms, args.out)
+        write_names(sorted(perms.permissions), args.out)
     else:
         for name in sorted(perms.permissions):
             print(name)

@@ -40,7 +40,7 @@ def make_folds(labels: Sequence[str], k: int, seed: int) -> FoldPlan:
                 f"class {label!r} has {len(members)} samples, need at least {k}"
             )
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     assignments = [0] * len(labels)
     offset = 0
     for label in sorted(by_class):

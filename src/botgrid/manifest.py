@@ -4,10 +4,15 @@ Three ingestion forms are accepted: a full APK (ZIP wrapping a binary
 manifest), a standalone manifest file (binary or plaintext XML, told
 apart by magic bytes), and a plain permission-list text file with one
 permission per line.
+
+This module owns that one-name-per-line format: `read_names` and
+`write_names` are its only reader and writer, for permission lists,
+vocabulary files and synthetic corpora alike.
 """
 
 from __future__ import annotations
 
+import codecs
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -44,10 +49,10 @@ def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
 
     Elements match by local name, whatever their namespace.  The name is
     android:name, or a bare name only when android:name is absent, with
-    surrounding whitespace stripped.  A name that a one-per-line file could
-    not hold is skipped: a blank one, one starting with #, and one holding
-    a line break as str.splitlines counts them (\\n, \\r, U+2028 ...).  So
-    every kept name survives a permission-list or vocabulary file.
+    surrounding whitespace stripped.  A name that `read_names` would not
+    give back alone is skipped: a blank one, one starting with #, and one
+    holding a line break as str.splitlines counts them (\\n, \\r, U+2028
+    ...).  So every kept name survives a permission-list or vocabulary file.
     """
     names: set[str] = set()
     for element in root.iter():
@@ -67,17 +72,6 @@ def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
     return PermissionSet(app_id, frozenset(names))
 
 
-def parse_permission_list(text: str, app_id: str) -> PermissionSet:
-    """One permission per line; blank lines and # comments ignored."""
-    names = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        names.add(line)
-    return PermissionSet(app_id, frozenset(names))
-
-
 def read_text(path) -> str:
     """A UTF-8 text file's contents, without a leading BOM."""
     with open(path, "rb") as fh:
@@ -88,10 +82,16 @@ def read_text(path) -> str:
         raise NotUtf8(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def write_permission_list(perms: PermissionSet, path) -> None:
+def read_names(text: str) -> list[str]:
+    """The names of a one-name-per-line file, in file order: each line
+    stripped, blank lines and # comments skipped."""
+    return [name for line in text.splitlines() if (name := line.strip()) and name[0] != "#"]
+
+
+def write_names(names, path) -> None:
+    """One name and a newline per line, UTF-8; `read_names` reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(perms.permissions):
-            fh.write(name + "\n")
+        fh.writelines(name + "\n" for name in names)
 
 
 def parse_manifest_bytes(data: bytes) -> ET.Element:
@@ -116,14 +116,21 @@ def read_permissions(path, kind: str) -> PermissionSet:
         with open(path, "rb") as fh:
             data = fh.read()
     elif kind == "permlist":
-        return parse_permission_list(read_text(path), str(path))
+        return PermissionSet(str(path), frozenset(read_names(read_text(path))))
     else:
         raise ValueError(f"unknown source kind {kind!r}, expected one of {list(KINDS)}")
     return extract_permissions(parse_manifest_bytes(data), str(path))
 
 
 def sniff_kind(path) -> str:
-    """Guess apk vs. manifest from leading magic bytes."""
+    """Guess a sample's kind from its first 4 KiB.  A ZIP's PK is an apk.
+    The AXML magic is a manifest, and so is a text whose first character
+    after an optional UTF-8 BOM and whitespace is <.  Anything else is a
+    permission list, an empty file (an app with no permissions) included."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    return "apk" if head[:2] == b"PK" else "manifest"
+        head = fh.read(4096)
+    if head[:2] == b"PK":
+        return "apk"
+    if axml.is_axml(head) or head.removeprefix(codecs.BOM_UTF8).lstrip()[:1] == b"<":
+        return "manifest"
+    return "permlist"

@@ -95,7 +95,7 @@ class CnnModel:
         self.input_shape = tuple(input_shape)
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
 
         shapes = _layer_shapes(self.specs, self.input_shape)
         self.output_shapes = shapes[1:]

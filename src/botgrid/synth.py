@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import ManifestRecord, save_dataset_manifest
 from .errors import InvalidSpec
+from .manifest import write_names
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir) -> list[ManifestRecord]:
     out_dir.mkdir(parents=True, exist_ok=True)
     pool = [pool_permission(i) for i in range(spec.pool_size)]
     botnet_sig, benign_sig = signature_permissions(spec)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    rng = np.random.default_rng(spec.seed)
 
     records: list[ManifestRecord] = []
     plan = (("botnet", spec.n_botnet, set(botnet_sig)), ("benign", spec.n_benign, set(benign_sig)))
@@ -79,9 +80,7 @@ def generate_synthetic_corpus(spec: SynthSpec, out_dir) -> list[ManifestRecord]:
                 + [p for p, keep in zip(noise_candidates, keep_noise) if keep]
             )
             name = f"{label}_{i:04d}.txt"
-            with open(out_dir / name, "w", encoding="utf-8") as fh:
-                for perm in perms:
-                    fh.write(perm + "\n")
+            write_names(perms, out_dir / name)
             records.append(ManifestRecord(str(out_dir / name), label, "permlist"))
 
     csv_records = [

@@ -122,7 +122,7 @@ class EpochStats:
 
 def _stratified_carve(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
     """Boolean mask selecting a per-class fraction of samples."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     mask = np.zeros(len(labels), dtype=bool)
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
@@ -178,9 +178,7 @@ def train(
         seed=derive_seed(config.seed, 0), n=n, dtype=config.np_dtype
     )
     adam = Adam(config.learning_rate)
-    shuffle_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(derive_seed(config.seed, 1)))
-    )
+    shuffle_rng = np.random.default_rng(derive_seed(config.seed, 1))
 
     trace: list[EpochStats] = []
     count = len(tensors)

@@ -2,7 +2,8 @@
 
 Position i in the vocabulary is row and column i of every co-occurrence
 image.  `training.build_fold_vocabulary` ranks it from a corpus; this
-module holds the type and its one-permission-per-line file format.
+module holds the type and its file, which is in the one-name-per-line
+format that `manifest.read_names` and `manifest.write_names` own.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DuplicateEntry, EmptyFile
-from .manifest import read_text
+from .manifest import read_names, read_text, write_names
 
 
 @dataclass(frozen=True)
@@ -36,23 +37,17 @@ class PermissionVocabulary:
 
 
 def save_vocabulary(vocab: PermissionVocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in vocab.permissions:
-            fh.write(name + "\n")
+    write_names(vocab.permissions, path)
 
 
 def load_vocabulary(path) -> PermissionVocabulary:
     """Inverse of save_vocabulary: line order is index order."""
-    names: list[str] = []
+    names = read_names(read_text(path))
     seen: set[str] = set()
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in seen:
-            raise DuplicateEntry(f"{path}: duplicated vocabulary entry {line!r}")
-        seen.add(line)
-        names.append(line)
+    for name in names:
+        if name in seen:
+            raise DuplicateEntry(f"{path}: duplicated vocabulary entry {name!r}")
+        seen.add(name)
     if not names:
         raise EmptyFile(f"{path}: vocabulary file has no entries")
     return PermissionVocabulary(tuple(names))

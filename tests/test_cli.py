@@ -61,6 +61,13 @@ def test_extract_golden_output(tmp_path, capsys):
     assert printed == "android.permission.INTERNET\nandroid.permission.SEND_SMS\n"
 
 
+def test_extract_sniffs_a_permission_list(tmp_path, capsys):
+    perm_list = tmp_path / "perms.txt"
+    perm_list.write_text("android.permission.SEND_SMS\nandroid.permission.INTERNET\n")
+    assert main(["extract", str(perm_list)]) == 0
+    assert capsys.readouterr().out == "android.permission.INTERNET\nandroid.permission.SEND_SMS\n"
+
+
 def test_extract_deeply_nested_manifest(tmp_path, capsys):
     manifest = tmp_path / "deep.xml"
     manifest.write_text(deep_manifest(5000))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -114,7 +116,7 @@ def test_normalize_dtype():
 
 def read_pgm(path):
     """Independent little PGM reader for round-trip checks."""
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     assert data[:3] == b"P5\n"
     rest = data[3:]
     dims, rest = rest.split(b"\n", 1)

@@ -9,11 +9,11 @@ from botgrid.manifest import (
     ANDROID_NS,
     extract_permissions,
     parse_manifest_bytes,
-    parse_permission_list,
     parse_plain_manifest,
+    read_names,
     read_permissions,
     sniff_kind,
-    write_permission_list,
+    write_names,
 )
 from botgrid.axml import parse_axml
 
@@ -223,21 +223,24 @@ def test_extraction_order_insensitive(names):
     assert len(results) == 1
 
 
-def test_permission_list_parsing():
-    text = "# corpus sample\nandroid.permission.INTERNET\n\nandroid.permission.NFC\nandroid.permission.INTERNET\n"
-    perms = parse_permission_list(text, "sample")
-    assert perms.permissions == frozenset(
+def test_permission_list_parsing(tmp_path):
+    text = "# corpus sample\nandroid.permission.INTERNET\n\n  android.permission.NFC \nandroid.permission.INTERNET\n"
+    assert read_names(text) == [
+        "android.permission.INTERNET", "android.permission.NFC", "android.permission.INTERNET"
+    ]
+    path = tmp_path / "perms.txt"
+    path.write_text(text)
+    assert read_permissions(path, "permlist").permissions == frozenset(
         {"android.permission.INTERNET", "android.permission.NFC"}
     )
 
 
 def test_permission_list_round_trip(tmp_path):
-    perms = parse_permission_list("b.perm\na.perm\n", "x")
     out = tmp_path / "perms.txt"
-    write_permission_list(perms, out)
-    assert out.read_text() == "a.perm\nb.perm\n"
-    again = read_permissions(out, "permlist")
-    assert again.permissions == perms.permissions
+    write_names(["b.perm", "a.perm"], out)
+    assert out.read_bytes() == b"b.perm\na.perm\n"
+    assert read_names(out.read_text()) == ["b.perm", "a.perm"]
+    assert read_permissions(out, "permlist").permissions == {"a.perm", "b.perm"}
 
 
 def test_permission_list_with_bom(tmp_path):
@@ -257,6 +260,12 @@ def test_read_permissions_dispatch(tmp_path):
     man_bin.write_bytes(axml_blob)
     man_plain = tmp_path / "manifest.xml"
     man_plain.write_text(PLAIN)
+    man_bom = tmp_path / "bom.xml"
+    man_bom.write_bytes(" \r\n\t".encode("utf-8-sig") + PLAIN.encode())
+    perm_list = tmp_path / "perms.txt"
+    perm_list.write_text("android.permission.INTERNET\nandroid.permission.NFC\n")
+    no_perms = tmp_path / "none.txt"
+    no_perms.write_bytes(b"")
 
     assert read_permissions(apk, "apk").permissions == {"android.permission.INTERNET"}
     assert read_permissions(man_bin, "manifest").permissions == {"android.permission.INTERNET"}
@@ -267,6 +276,9 @@ def test_read_permissions_dispatch(tmp_path):
     assert sniff_kind(apk) == "apk"
     assert sniff_kind(man_bin) == "manifest"
     assert sniff_kind(man_plain) == "manifest"
+    assert sniff_kind(man_bom) == "manifest"
+    assert sniff_kind(perm_list) == "permlist"
+    assert sniff_kind(no_perms) == "permlist"
 
     with pytest.raises(ValueError):
         read_permissions(man_plain, "dex")

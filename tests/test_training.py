@@ -430,6 +430,22 @@ def test_thread_budget_of_a_train_step_and_an_evaluate(thread_starts, monkeypatc
     assert not any(thread.is_alive() for thread in started)
 
 
+def test_inference_on_a_read_only_model_writes_nothing(monkeypatch):
+    # Threads that serve one loaded model share its arrays: inference must
+    # not write to them, nor leave anything behind in a layer.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    model = build_reference_model(seed=4, dtype=np.float32)
+    images = distinct_images(64, np.float32)
+    labels = np.arange(64) % 2
+    classes = training._predict_distinct(model, images)
+    metrics = evaluate(model, images, labels)
+    for array in [*model.params(), images]:
+        array.flags.writeable = False
+    assert training._predict_distinct(model, images).tobytes() == classes.tobytes()
+    assert evaluate(model, images, labels) == metrics
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
+
+
 def test_no_layer_keeps_a_cache_after_training(small_corpus):
     _, _, _, tensors, labels = small_corpus
     model = build_reference_model(seed=4, n=16, dtype=np.float32)

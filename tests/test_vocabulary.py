@@ -1,11 +1,18 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from botgrid.axml import parse_axml
 from botgrid.errors import DuplicateEntry, EmptyCorpus, EmptyFile
-from botgrid.manifest import PermissionSet, extract_permissions, parse_plain_manifest
+from botgrid.manifest import (
+    PermissionSet,
+    extract_permissions,
+    parse_plain_manifest,
+    read_names,
+    read_text,
+    write_names,
+)
 from botgrid.training import build_fold_vocabulary
 from botgrid.vocabulary import PermissionVocabulary, load_vocabulary, save_vocabulary
 
@@ -154,8 +161,23 @@ def test_vocabulary_file_with_bom(tmp_path):
     )
 
 
-def test_extracted_vocabulary_survives_its_file(tmp_path):
-    odd = ["#evil", "a\nb", "c\u2028d", "android.permission.INTERNET"]
+# every boundary str.splitlines splits a line at
+LINE_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(
+    odd=st.lists(
+        st.text(
+            st.sampled_from(" \t#a." + LINE_BOUNDARIES)
+            | st.characters(exclude_categories=("Cs",)),
+            max_size=8,
+        ),
+        max_size=8,
+    )
+)
+@example(odd=["#evil", "a\nb", "c\u2028d", "android.permission.INTERNET"])
+def test_extracted_vocabulary_survives_its_file(tmp_path_factory, odd):
+    # The AXML writer carries characters that XML 1.0 cannot.
     plain = parse_plain_manifest(
         '<manifest xmlns:android="http://schemas.android.com/apk/res/android">'
         '<uses-permission android:name="#evil"/>'
@@ -168,6 +190,11 @@ def test_extracted_vocabulary_survives_its_file(tmp_path):
         extract_permissions(parse_axml(build_axml(permissions_manifest(odd))), "bot"),
         extract_permissions(plain, "ben"),
     ]
+    path = tmp_path_factory.mktemp("names") / "names.txt"
+    for perms in perm_sets:
+        names = sorted(perms.permissions)
+        write_names(names, path)
+        assert read_names(read_text(path)) == names
     vocab = build_fold_vocabulary(perm_sets, ["botnet", "benign"], 41)
-    save_vocabulary(vocab, tmp_path / "vocab.txt")
-    assert load_vocabulary(tmp_path / "vocab.txt") == vocab
+    save_vocabulary(vocab, path)
+    assert load_vocabulary(path) == vocab
