@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import encode_corpus, label_index, load_dataset_manifest
+from .dataset import encode_corpus, extract_corpus, label_index, load_dataset_manifest
 from .encoder import dump_pgm, encode
 from .errors import BotgridError, NonFiniteLoss, ParseError
 from .manifest import KINDS, read_permissions, read_text, sniff_kind, write_names
@@ -26,7 +26,6 @@ from .training import (
     build_fold_vocabulary,
     cross_validate,
     evaluate,
-    extract_corpus,
     predict,
     render_report,
     render_trace_csv,

@@ -262,8 +262,11 @@ def load_model(path) -> CnnModel:
     if version != MODEL_VERSION:
         raise VersionMismatch(f"{path}: format version {version}, supported {MODEL_VERSION}")
     start = len(MODEL_MAGIC) + 12
-    if start + payload_len + 4 > len(blob):
+    trailing = len(blob) - (start + payload_len + 4)
+    if trailing < 0:
         raise TruncatedChunk(f"{path}: payload truncated")
+    if trailing:
+        raise ChecksumMismatch(f"{path}: {trailing} trailing bytes after the checksum")
     payload = blob[start : start + payload_len]
     (stored_crc,) = struct.unpack_from("<I", blob, start + payload_len)
     if zlib.crc32(payload) != stored_crc:

@@ -111,6 +111,56 @@ def test_zip_with_trailing_comment():
     assert ApkArchive(blob).read("AndroidManifest.xml") == b"m"
 
 
+def forged(field_at, fmt: str, value: int, method: int = 0) -> bytes:
+    """A one-entry <manifest/> archive with one field overwritten; field_at
+    maps the archive to the field's offset."""
+    blob = bytearray(build_zip([("AndroidManifest.xml", b"<manifest/>", method)]))
+    struct.pack_into(fmt, blob, field_at(blob), value)
+    return bytes(blob)
+
+
+def eocd(offset: int):
+    return lambda blob: blob.rfind(b"PK\x05\x06") + offset
+
+
+def central(offset: int):
+    return lambda blob: struct.unpack_from("<I", blob, eocd(16)(blob))[0] + offset
+
+
+def entry_payload(blob) -> int:
+    return 30 + len("AndroidManifest.xml")
+
+
+@pytest.mark.parametrize(
+    "blob, outcome",
+    [
+        (forged(eocd(4), "<H", 1), (NotAZip, "multi-disk")),  # disk number
+        # one more entry than the directory holds
+        (forged(eocd(10), "<H", 2), (TruncatedArchive, "directory record truncated")),
+        (forged(central(28), "<H", 0xFFFF), (TruncatedArchive, "name truncated")),
+        (forged(central(42), "<I", 200), (TruncatedArchive, "local header of .* truncated")),
+        (forged(central(42), "<I", 1), (TruncatedArchive, "bad local header signature")),
+        (forged(central(20), "<I", 1000), (TruncatedArchive, "payload of .* truncated")),
+        # a final block of the reserved type 3
+        (forged(entry_payload, "<B", 0xFF, method=8), (TruncatedArchive, "DEFLATE .* corrupt")),
+        # a signature at the very end of the comment leaves no room for an
+        # end record, so the scan goes on back to the real one
+        (build_zip([("AndroidManifest.xml", b"<manifest/>", 0)], comment=b"PK\x05\x06"),
+         b"<manifest/>"),
+    ],
+    ids=["multi-disk", "directory-record-truncated", "name-truncated",
+         "local-header-truncated", "local-header-signature", "payload-truncated",
+         "deflate-corrupt", "signature-in-comment"],
+)
+def test_forged_archive_reads_or_is_rejected(blob, outcome):
+    if isinstance(outcome, bytes):
+        assert ApkArchive(blob).read("AndroidManifest.xml") == outcome
+    else:
+        error, match = outcome
+        with pytest.raises(error, match=match):
+            ApkArchive(blob).read("AndroidManifest.xml")
+
+
 def corrupt(method: int) -> bytes:
     """A one-entry archive whose <manifest/> payload disagrees with its CRC-32."""
     blob = bytearray(build_zip([("AndroidManifest.xml", b"<manifest/>", method)]))

@@ -206,6 +206,22 @@ def utf16_string(s: str) -> bytes:
     return head + s.encode("utf-16-le") + b"\0\0"
 
 
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        # the element's name: a length with the extension bit and no second word
+        (raw_axml([0], b"\x00\x80", []), "extended UTF-16 length out of bounds"),
+        (raw_axml([0], b"\x80", [], utf8=True), "extended UTF-8 length out of bounds"),
+        (raw_axml([0], utf16_string("m"), [(0xFFFFFFFF, 0xFFFFFFFF, 0)]),
+         "attribute with no name"),
+    ],
+    ids=["utf16-extended-length", "utf8-extended-length", "attribute-without-name"],
+)
+def test_forged_string_reference_is_a_bad_string_index(data, match):
+    with pytest.raises(BadStringIndex, match=match):
+        parse_axml(data)
+
+
 # A run of one 2-byte unit that reads, from any even offset into it, as a
 # length field followed by that many valid characters: 32,767 UTF-16 units
 # of U+7FFF, or 24,510 UTF-8 bytes of U+07FE.

@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 from dataclasses import asdict
 
 import pytest
@@ -22,6 +23,7 @@ from test_model import (
     POOL1_KERNEL_AND_STRIDE,
     flip_conv1_exponent,
     forge_reference_model,
+    save_reduced_with_bytes_after_crc,
     save_reduced_with_trailing_bytes,
 )
 from zip_writer import build_zip
@@ -174,6 +176,40 @@ def test_train_then_predict_matches_library(tmp_path, corpus_dir):
     label, prob = buf.getvalue().split()
     assert label == want_label
     assert abs(float(prob) - want_prob) < 1e-6
+
+
+def test_train_with_a_given_vocabulary(tmp_path, corpus_dir):
+    # The corpus's 17 top permissions in reverse rank order: a rebuilt
+    # vocabulary would differ in order and, at the default --n, in size.
+    ranked = tmp_path / "ranked.txt"
+    assert main(["vocab", "--manifest", str(corpus_dir / "data.csv"), "--n", "17",
+                 "--out", str(ranked)]) == 0
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"{name}\n" for name in reversed(ranked.read_text().split())))
+    model_path, vocab_out = tmp_path / "model.bin", tmp_path / "vocab_out.txt"
+    assert main([
+        "train", "--manifest", str(corpus_dir / "data.csv"), "--vocab", str(vocab),
+        "--epochs", "1", "--model-out", str(model_path), "--vocab-out", str(vocab_out),
+    ]) == 0
+    assert load_model(model_path).input_shape == (17, 17, 1)
+    assert vocab_out.read_bytes() == vocab.read_bytes()
+
+
+def test_an_unreadable_sample_is_reported_last(tmp_path, corpus_dir, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    (corpus / "bad.apk").write_bytes(b"PK\x03\x04 but not really a zip")
+    with open(corpus / "data.csv", "a", encoding="utf-8") as fh:
+        fh.write("bad.apk,benign,apk\n")
+    failed = f"failed: {corpus / 'bad.apk'}: NotAZip: no end-of-central-directory record found"
+    flags = ["--manifest", str(corpus / "data.csv"), "--epochs", "1", "--n", "16"]
+
+    report = tmp_path / "report.txt"
+    assert main(["cv", *flags, "--k", "2", "--report", str(report)]) == 0
+    assert report.read_text().splitlines()[-1] == failed
+    capsys.readouterr()
+    assert main(["train", *flags, "--model-out", str(tmp_path / "model.bin")]) == 0
+    assert capsys.readouterr().err == failed + "\n"
 
 
 def test_config_file_with_flag_overrides(tmp_path, corpus_dir):
@@ -389,14 +425,16 @@ def test_predict_with_non_finite_model_weight_exits_parse(tmp_path, corpus_dir):
 
 
 def test_predict_with_trailing_model_bytes_exits_parse(tmp_path, corpus_dir):
+    # bytes after the last parameter, and bytes after the CRC-32
     model_path = tmp_path / "model.bin"
-    save_reduced_with_trailing_bytes(model_path)
     vocab = tmp_path / "v.txt"
     vocab.write_text("".join(f"android.permission.P{k}\n" for k in range(9)))
-    assert main([
-        "predict", "--model", str(model_path), "--vocab", str(vocab),
-        "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),
-    ]) == 3
+    for forge in (save_reduced_with_trailing_bytes, save_reduced_with_bytes_after_crc):
+        forge(model_path)
+        assert main([
+            "predict", "--model", str(model_path), "--vocab", str(vocab),
+            "--kind", "permlist", str(corpus_dir / "benign_0003.txt"),
+        ]) == 3, forge.__name__
 
 
 def test_header_only_manifest_is_an_empty_dataset(tmp_path, capsys):

@@ -312,17 +312,23 @@ def with_crc(edited: bytearray) -> bytes:
     return bytes(edited)
 
 
-def with_trailing_bytes(blob: bytes, extra: bytes) -> bytes:
-    """A saved model file with extra bytes after its last parameter, the
-    payload length and the CRC fixed."""
-    edited = bytearray(blob[:-4] + extra + bytes(4))
-    struct.pack_into("<Q", edited, PAYLOAD - 8, len(edited) - PAYLOAD - 4)
+def with_payload(blob: bytes, payload: bytes) -> bytes:
+    """A saved model file with another payload, its length and the CRC
+    fixed."""
+    edited = bytearray(blob[:PAYLOAD] + payload + bytes(4))
+    struct.pack_into("<Q", edited, PAYLOAD - 8, len(payload))
     return with_crc(edited)
 
 
 def save_reduced_with_trailing_bytes(path) -> None:
     save_model(CnnModel(REDUCED, (9, 9, 1), seed=21), path)
-    path.write_bytes(with_trailing_bytes(path.read_bytes(), bytes(8)))
+    blob = path.read_bytes()
+    path.write_bytes(with_payload(blob, blob[PAYLOAD:-4] + bytes(8)))
+
+
+def save_reduced_with_bytes_after_crc(path) -> None:
+    save_model(CnnModel(REDUCED, (9, 9, 1), seed=21), path)
+    path.write_bytes(path.read_bytes() + bytes(21_000))
 
 
 def forge_reference_model(path, offset, fmt, *values) -> bytes:
@@ -386,6 +392,29 @@ def test_model_with_trailing_payload_bytes_is_a_parse_error(tmp_path):
         load_model(path)
 
 
+def test_model_with_bytes_after_its_checksum_is_a_parse_error(tmp_path):
+    # A file that save_model wrote ends at its CRC-32; one that goes on is
+    # not a model file, even when the part up to the CRC would load.
+    path = tmp_path / "model.bin"
+    save_reduced_with_bytes_after_crc(path)
+    with pytest.raises(ChecksumMismatch, match="21000 trailing bytes after the checksum"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "keep", [SPECS - PAYLOAD + 7, -4], ids=["in-spec-table", "in-last-parameter"]
+)
+def test_model_payload_cut_short_is_truncated(tmp_path, keep):
+    # The payload length and CRC agree with the cut, so only the payload
+    # reader sees that a spec or a parameter's values run past its end.
+    path = tmp_path / "model.bin"
+    save_model(CnnModel(REDUCED, (9, 9, 1), seed=21), path)
+    blob = path.read_bytes()
+    path.write_bytes(with_payload(blob, blob[PAYLOAD:-4][:keep]))
+    with pytest.raises(TruncatedChunk, match="model payload truncated"):
+        load_model(path)
+
+
 STRIDED = (
     LayerSpec("conv", relu=True, kernel=(3, 3), stride=(2, 2), out_channels=3),
     LayerSpec("maxpool", kernel=(2, 2), stride=(2, 2)),
@@ -414,9 +443,7 @@ def test_allocation_bound_counts_what_the_model_allocates(tmp_path, specs, input
     path = tmp_path / "model.bin"
     save_model(model, path)
     blob = path.read_bytes()
-    cut = bytearray(blob[: SPECS + len(specs) * 14 + 8 * (n - 1)] + bytes(4))
-    struct.pack_into("<Q", cut, PAYLOAD - 8, len(cut) - PAYLOAD - 4)
-    path.write_bytes(with_crc(cut))
+    path.write_bytes(with_payload(blob, blob[PAYLOAD : SPECS + len(specs) * 14 + 8 * (n - 1)]))
     with pytest.raises(ChecksumMismatch, match=f"imply {n} parameters"):
         load_model(path)
 
@@ -424,7 +451,8 @@ def test_allocation_bound_counts_what_the_model_allocates(tmp_path, specs, input
 def _fuzzed_model_files(blob: bytes):
     """Hostile variants of a saved model file: truncations through the spec
     table, then single bit flips and byte overwrites with the CRC fixed, then
-    bytes appended to the payload with its length and the CRC fixed."""
+    bytes appended to the payload or payloads cut short, with its length and
+    the CRC fixed, then bytes appended after the CRC."""
     spec_end = SPECS + len(REDUCED) * 14
     for cut in range(spec_end + 1):
         yield blob[:cut]
@@ -440,8 +468,13 @@ def _fuzzed_model_files(blob: bytes):
             edited = bytearray(blob)
             edited[at] = value
             yield with_crc(edited)
+    payload = blob[PAYLOAD:-4]
     for n in (1, 4, 8, 9, 64):
-        yield with_trailing_bytes(blob, bytes(range(n)))
+        yield with_payload(blob, payload + bytes(range(n)))
+    for keep in (0, 9, spec_end - PAYLOAD - 7, -9, -1):
+        yield with_payload(blob, payload[:keep])
+    for extra in (b"\0", bytes(4), blob, bytes(21_000)):
+        yield blob + extra
 
 
 def test_fuzzed_model_file_loads_or_is_a_parse_error(tmp_path):
