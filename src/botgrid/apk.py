@@ -82,7 +82,7 @@ class ApkArchive:
         data = self._data
         if len(data) < _EOCD.size:
             raise NotAZip(f"{self.source}: too small to hold an end-of-central-directory record")
-        eocd_off = self._find_eocd(data)
+        eocd_off = self._find_eocd()
         (_, disk_no, cd_disk, _, total_entries, cd_size, cd_offset, _) = _EOCD.unpack_from(
             data, eocd_off
         )
@@ -114,8 +114,8 @@ class ApkArchive:
             pos = name_end + extra_len + comment_len
         return entries
 
-    @staticmethod
-    def _find_eocd(data: bytes) -> int:
+    def _find_eocd(self) -> int:
+        data = self._data
         scan_from = max(0, len(data) - _MAX_EOCD_SCAN)
         pos = data.rfind(struct.pack("<I", EOCD_SIG), scan_from)
         while pos != -1:
@@ -124,7 +124,7 @@ class ApkArchive:
                 if pos + _EOCD.size + comment_len <= len(data):
                     return pos
             pos = data.rfind(struct.pack("<I", EOCD_SIG), scan_from, pos)
-        raise NotAZip("no end-of-central-directory record found")
+        raise NotAZip(f"{self.source}: no end-of-central-directory record found")
 
     def _read_entry(self, entry: ZipEntry) -> bytes:
         if entry.uncompressed_size > MAX_ENTRY_BYTES:

@@ -122,13 +122,10 @@ class _StringPool:
         s = self._by_offset.get(at)
         if s is not None:
             return s
-        try:
-            if self.is_utf8:
-                s, end = self._decode_utf8(at)
-            else:
-                s, end = self._decode_utf16(at)
-        except (struct.error, IndexError) as exc:
-            raise BadStringIndex(f"string {index} lies outside the pool data") from exc
+        if self.is_utf8:
+            s, end = self._decode_utf8(at)
+        else:
+            s, end = self._decode_utf16(at)
         self._room -= end - at
         if self._room < 0:
             raise OversizedStrings(

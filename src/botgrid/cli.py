@@ -18,7 +18,7 @@ from . import __version__
 from .dataset import encode_corpus, extract_corpus, label_index, load_dataset_manifest
 from .encoder import dump_pgm, encode
 from .errors import BotgridError, NonFiniteLoss, ParseError
-from .manifest import KINDS, read_permissions, read_text, sniff_kind, write_names
+from .manifest import KINDS, read_permissions, read_text, write_names
 from .nn.model import load_model, save_model
 from .synth import SynthSpec, generate_synthetic_corpus
 from .training import (
@@ -154,8 +154,7 @@ def _load_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _cmd_extract(args) -> int:
-    kind = args.kind or sniff_kind(args.input)
-    perms = read_permissions(args.input, kind)
+    perms = read_permissions(args.input, args.kind)
     if args.out:
         write_names(sorted(perms.permissions), args.out)
     else:
@@ -174,9 +173,8 @@ def _cmd_vocab(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    kind = args.kind or sniff_kind(args.sample)
     vocab = load_vocabulary(args.vocab)
-    perms = read_permissions(args.sample, kind)
+    perms = read_permissions(args.sample, args.kind)
     dump_pgm(encode(perms, vocab), args.out)
     return EXIT_OK
 
@@ -226,10 +224,9 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    kind = args.kind or sniff_kind(args.sample)
     model = load_model(args.model)
     vocab = load_vocabulary(args.vocab)
-    label, prob = predict(model, vocab, args.sample, kind)
+    label, prob = predict(model, vocab, args.sample, args.kind)
     print(f"{label} {prob:.6f}")
     return EXIT_OK
 

@@ -105,8 +105,10 @@ def parse_manifest_bytes(data: bytes) -> ET.Element:
     return parse_plain_manifest(text)
 
 
-def read_permissions(path, kind: str) -> PermissionSet:
-    """Read one sample of a declared source kind: apk, manifest, or permlist."""
+def read_permissions(path, kind: str | None = None) -> PermissionSet:
+    """Read one sample of a source kind: apk, manifest, permlist, or None to sniff it."""
+    if kind is None:
+        kind = sniff_kind(path)
     if kind == "apk":
         archive = open_apk(path)
         if MANIFEST_ENTRY not in archive:

@@ -247,7 +247,7 @@ def evaluate(model: CnnModel, tensors: np.ndarray, labels: np.ndarray) -> EvalMe
 
 
 def predict(
-    model: CnnModel, vocab: PermissionVocabulary, path, kind: str
+    model: CnnModel, vocab: PermissionVocabulary, path, kind: str | None = None
 ) -> tuple[str, float]:
     """Single-sample inference: (label, botnet probability)."""
     perms = read_permissions(path, kind)
@@ -420,11 +420,8 @@ def render_report(result: CvResult, fmt: str = "text") -> str:
         + ", ".join(f"{label}={result.class_counts[label]}" for label in LABELS)
         + ")",
         f"extraction failures: {len(result.failures)}",
-        "config: "
-        + f"epochs={cfg.epochs} batch_size={cfg.batch_size} "
-        + f"learning_rate={cfg.learning_rate} vocab_size={cfg.vocab_size} "
-        + f"val_fraction={cfg.val_fraction} vocab_from_all={cfg.vocab_from_all} "
-        + f"dtype={cfg.dtype}",
+        "config: "  # every field but seed and k, which head the report
+        + " ".join(f"{k}={v}" for k, v in asdict(cfg).items() if k not in ("seed", "k")),
         "",
         "fold    tp    tn    fp    fn  accuracy   precision  recall     fpr        f_measure",
     ]
@@ -463,14 +460,7 @@ def _render_json(result: CvResult) -> str:
             }
             for fr in result.folds
         ],
-        "summary": {
-            name: {
-                "mean": s.mean,
-                "std": s.std,
-                "defined_folds": s.defined_folds,
-            }
-            for name, s in result.summary.items()
-        },
+        "summary": {name: asdict(s) for name, s in result.summary.items()},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

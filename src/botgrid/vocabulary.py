@@ -21,9 +21,12 @@ class PermissionVocabulary:
 
     def __post_init__(self):
         if not self.permissions:
-            raise EmptyFile("vocabulary must contain at least one permission")
-        if len(set(self.permissions)) != len(self.permissions):
-            raise DuplicateEntry("vocabulary contains duplicate permissions")
+            raise EmptyFile("vocabulary has no entries")
+        seen: set[str] = set()
+        for name in self.permissions:
+            if name in seen:
+                raise DuplicateEntry(f"duplicated vocabulary entry {name!r}")
+            seen.add(name)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -42,12 +45,7 @@ def save_vocabulary(vocab: PermissionVocabulary, path) -> None:
 
 def load_vocabulary(path) -> PermissionVocabulary:
     """Inverse of save_vocabulary: line order is index order."""
-    names = read_names(read_text(path))
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateEntry(f"{path}: duplicated vocabulary entry {name!r}")
-        seen.add(name)
-    if not names:
-        raise EmptyFile(f"{path}: vocabulary file has no entries")
-    return PermissionVocabulary(tuple(names))
+    try:
+        return PermissionVocabulary(tuple(read_names(read_text(path))))
+    except (DuplicateEntry, EmptyFile) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

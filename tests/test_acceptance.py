@@ -19,9 +19,9 @@ from botgrid.encoder import encode
 from botgrid.errors import ParseError
 from botgrid.manifest import PermissionSet
 from botgrid.metrics import ConfusionCounts, compute_metrics
-from botgrid.nn import Adam, LayerSpec, bce_loss, build_reference_model
-from botgrid.nn.loss import CLAMP_EPS
-from botgrid.nn.model import CnnModel
+from botgrid.nn.loss import CLAMP_EPS, bce_loss
+from botgrid.nn.model import CnnModel, LayerSpec, build_reference_model
+from botgrid.nn.optim import Adam
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import TrainConfig, cross_validate
 from botgrid.vocabulary import PermissionVocabulary

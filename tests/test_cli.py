@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import botgrid
 from botgrid import training
 from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode
@@ -198,10 +203,11 @@ def test_train_with_a_given_vocabulary(tmp_path, corpus_dir):
 def test_an_unreadable_sample_is_reported_last(tmp_path, corpus_dir, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(corpus_dir, corpus)
-    (corpus / "bad.apk").write_bytes(b"PK\x03\x04 but not really a zip")
+    bad = corpus / "bad.apk"
+    bad.write_bytes(b"PK\x03\x04 but not really a zip")
     with open(corpus / "data.csv", "a", encoding="utf-8") as fh:
         fh.write("bad.apk,benign,apk\n")
-    failed = f"failed: {corpus / 'bad.apk'}: NotAZip: no end-of-central-directory record found"
+    failed = f"failed: {bad}: NotAZip: {bad}: no end-of-central-directory record found"
     flags = ["--manifest", str(corpus / "data.csv"), "--epochs", "1", "--n", "16"]
 
     report = tmp_path / "report.txt"
@@ -350,6 +356,9 @@ def test_exit_codes(tmp_path, corpus_dir, monkeypatch, capsys):
     bad = tmp_path / "bad.apk"
     bad.write_bytes(b"PK\x03\x04 but not really a zip")
     assert main(["extract", str(bad)]) == 3
+    assert capsys.readouterr().err.endswith(
+        f"parse error: {bad}: no end-of-central-directory record found\n"
+    )
     # parse: malformed manifest csv
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("nope\n")
@@ -562,3 +571,37 @@ def test_jobs_flag_matches_serial(tmp_path, corpus_dir):
     assert main(base + ["--report", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--report", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_without_blas_vars(argv, **blas):
+    """argv in a fresh interpreter whose environment holds none of the BLAS
+    thread variables but `blas`; returns its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | blas
+    run = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300,
+        cwd=Path(botgrid.__file__).resolve().parents[1],
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_import_botgrid_pins_one_blas_thread_unless_told_otherwise():
+    show = f"import json, os, botgrid; print(json.dumps([os.getenv(v) for v in {BLAS_VARS}]))"
+    assert json.loads(_run_without_blas_vars(["-c", show])) == ["1", "1", "1"]
+    pinned = json.loads(_run_without_blas_vars(["-c", show], OMP_NUM_THREADS="2"))
+    assert pinned == ["1", "2", "1"]
+
+
+def test_cv_bytes_do_not_depend_on_the_blas_environment(tmp_path):
+    """`botgrid cv` with the BLAS variables unset prints what it prints with
+    them set to 1.  Without the package's own pin, OpenBLAS starts a thread
+    per CPU, and on 2 CPUs (OpenBLAS 0.3.31) 5 train_loss values of this
+    run moved; on a 1-CPU host this test cannot tell the two apart."""
+    generate_synthetic_corpus(SynthSpec(n_botnet=30, n_benign=30, pool_size=30, seed=2), tmp_path)
+    cv = ["-m", "botgrid.cli", "cv", "--manifest", str(tmp_path / "data.csv"),
+          "--k", "3", "--epochs", "3", "--seed", "5", "--format", "json"]
+    unset = _run_without_blas_vars(cv)
+    assert unset == _run_without_blas_vars(cv, **dict.fromkeys(BLAS_VARS, "1"))

@@ -279,9 +279,18 @@ def test_read_permissions_dispatch(tmp_path):
     assert sniff_kind(man_bom) == "manifest"
     assert sniff_kind(perm_list) == "permlist"
     assert sniff_kind(no_perms) == "permlist"
+    # No kind: read_permissions sniffs it.
+    for path in (apk, man_bin, man_plain, perm_list):
+        assert read_permissions(path) == read_permissions(path, sniff_kind(path))
+    assert read_permissions(perm_list).permissions == {
+        "android.permission.INTERNET",
+        "android.permission.NFC",
+    }
 
     with pytest.raises(ValueError):
         read_permissions(man_plain, "dex")
+    with pytest.raises(ValueError):  # only None is sniffed
+        read_permissions(man_plain, "")
 
 
 def test_manifest_bytes_sniffs_binary_vs_text():

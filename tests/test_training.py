@@ -11,8 +11,11 @@ from botgrid import cpus, training
 from botgrid.dataset import encode_corpus, extract_corpus, label_index
 from botgrid.errors import EmptyDataset, NonFiniteLoss
 from botgrid.metrics import ConfusionCounts
-from botgrid.nn import Adam, bce_loss, build_reference_model, layers
+from botgrid.nn import layers
 from botgrid.nn.layers import Conv2D
+from botgrid.nn.loss import bce_loss
+from botgrid.nn.model import build_reference_model
+from botgrid.nn.optim import Adam
 from botgrid.synth import SynthSpec, generate_synthetic_corpus
 from botgrid.training import (
     TrainConfig,
@@ -707,6 +710,23 @@ def test_report_contains_config_echo_and_counts(small_corpus):
     assert "epochs=1" in report
     assert "benign=30, botnet=30" in report
     assert "fold" in report and "summary" in report
+
+
+def test_report_config_line_names_every_other_train_config_field():
+    from dataclasses import fields
+
+    from botgrid.training import METRIC_NAMES, CvResult, MetricSummary
+
+    cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.5, seed=7, vocab_size=9, k=4,
+                      val_fraction=0.25, vocab_from_all=True, dtype="float64")
+    result = CvResult(cfg, (), {name: MetricSummary(None, None, 0) for name in METRIC_NAMES},
+                      (), {"benign": 0, "botnet": 0})
+    lines = render_report(result).splitlines()
+    assert lines[2:4] == ["seed: 7", "folds: 4"]
+    (config,) = [line for line in lines if line.startswith("config: ")]
+    echoed = [item.split("=") for item in config.removeprefix("config: ").split(" ")]
+    others = [f.name for f in fields(TrainConfig) if f.name not in ("seed", "k")]
+    assert echoed == [[name, str(getattr(cfg, name))] for name in others]
 
 
 def test_undefined_metrics_render_as_undefined():

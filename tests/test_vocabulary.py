@@ -134,9 +134,11 @@ def test_save_load_round_trip(tmp_path):
 
 def test_load_rejects_duplicates(tmp_path):
     path = tmp_path / "vocab.txt"
-    path.write_text("a\nb\na\n")
-    with pytest.raises(DuplicateEntry):
+    path.write_text("a\nb\nb\na\n")
+    with pytest.raises(DuplicateEntry) as exc:
         load_vocabulary(path)
+    # the first line that repeats an earlier one, in file order
+    assert str(exc.value) == f"{path}: duplicated vocabulary entry 'b'"
 
 
 def test_load_ignores_blanks_and_comments(tmp_path):
