@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cpus
-from .encoder import encode, normalize, out_of_vocabulary
+from .encoder import encode, normalize
 from .errors import AllSamplesFailed, BotgridError, EmptyDataset, ManifestCsvError
 from .manifest import KINDS, PermissionSet, read_permissions, read_text
 from .vocabulary import PermissionVocabulary
@@ -278,9 +278,10 @@ def encode_corpus(
     vocab: PermissionVocabulary,
     dtype=np.float32,
 ) -> tuple[np.ndarray, list[int]]:
-    """Stacked (N, n, n, 1) tensors plus per-sample out-of-vocabulary tallies."""
-    tensors = np.stack(
-        [normalize(encode(ps, vocab), dtype=dtype) for ps in perm_sets]
-    )
-    oov = [len(out_of_vocabulary(ps, vocab)) for ps in perm_sets]
+    """Stacked (N, n, n, 1) tensors plus each sample's count of permissions
+    outside the vocabulary: those its presence vector leaves out, since the
+    vocabulary's entries are unique."""
+    present = [encode(ps, vocab) for ps in perm_sets]
+    tensors = np.stack([normalize(v, dtype=dtype) for v in present])
+    oov = [len(ps.permissions) - int(v.sum()) for ps, v in zip(perm_sets, present)]
     return tensors, oov

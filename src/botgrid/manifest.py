@@ -29,7 +29,6 @@ KINDS = ("apk", "manifest", "permlist")  # the declared source kinds
 class PermissionSet:
     """Canonical permissions requested by one application."""
 
-    app_id: str
     permissions: frozenset[str]
 
     def __contains__(self, permission: str) -> bool:
@@ -44,7 +43,7 @@ def parse_plain_manifest(text: str) -> ET.Element:
         raise MalformedXml(str(exc)) from exc
 
 
-def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
+def extract_permissions(root: ET.Element) -> PermissionSet:
     """Collect requested permission names from a parsed manifest.
 
     Elements match by local name, whatever their namespace.  The name is
@@ -69,7 +68,7 @@ def extract_permissions(root: ET.Element, app_id: str) -> PermissionSet:
         value = value.strip()
         if value and not value.startswith("#") and value.splitlines() == [value]:
             names.add(value)
-    return PermissionSet(app_id, frozenset(names))
+    return PermissionSet(frozenset(names))
 
 
 def read_text(path) -> str:
@@ -118,10 +117,10 @@ def read_permissions(path, kind: str | None = None) -> PermissionSet:
         with open(path, "rb") as fh:
             data = fh.read()
     elif kind == "permlist":
-        return PermissionSet(str(path), frozenset(read_names(read_text(path))))
+        return PermissionSet(frozenset(read_names(read_text(path))))
     else:
         raise ValueError(f"unknown source kind {kind!r}, expected one of {list(KINDS)}")
-    return extract_permissions(parse_manifest_bytes(data), str(path))
+    return extract_permissions(parse_manifest_bytes(data))
 
 
 def sniff_kind(path) -> str:

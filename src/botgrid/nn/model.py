@@ -41,6 +41,15 @@ MODEL_VERSION = 1
 
 _KIND_CODES = {"conv": 0, "maxpool": 1, "dense": 2, "softmax": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# The fields each kind reads.  A spec sets each of them (relu may stay
+# False) and leaves the others at their defaults, so the model file's one
+# size field per layer holds all of a spec; load_model reads back only these.
+_KIND_FIELDS = {
+    "conv": ("relu", "kernel", "stride", "out_channels"),
+    "maxpool": ("kernel", "stride"),
+    "dense": ("relu", "out_units"),
+    "softmax": (),
+}
 
 
 @dataclass(frozen=True)
@@ -53,16 +62,15 @@ class LayerSpec:
     out_units: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        uses = _KIND_FIELDS.get(self.kind)
+        if uses is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv" and (
-            self.kernel is None or self.stride is None or self.out_channels is None
-        ):
-            raise ValueError("conv layers need kernel, stride, and out_channels")
-        if self.kind == "maxpool" and (self.kernel is None or self.stride is None):
-            raise ValueError("maxpool layers need kernel and stride")
-        if self.kind == "dense" and self.out_units is None:
-            raise ValueError("dense layers need out_units")
+        if self.relu and "relu" not in uses:
+            raise ValueError(f"{self.kind} layers take no relu")
+        for field in ("kernel", "stride", "out_channels", "out_units"):
+            if (getattr(self, field) is None) == (field in uses):
+                verb = "need" if field in uses else "take no"
+                raise ValueError(f"{self.kind} layers {verb} {field}")
 
 
 REFERENCE_LAYERS: tuple[LayerSpec, ...] = (
@@ -158,7 +166,10 @@ class CnnModel:
 
 def _layer_shapes(specs, input_shape) -> list[tuple[int, ...]]:
     """The input shape, then each layer's output shape, worked out without
-    allocating.  Raises ShapeMismatch at the first spec the shape cannot take."""
+    allocating.  Raises ShapeMismatch for an input that is not (h, w, c) and
+    at the first spec the shape cannot take."""
+    if len(input_shape) != 3:
+        raise ShapeMismatch(f"expected an (h, w, c) input shape, got {tuple(input_shape)}")
     shapes = [tuple(input_shape)]
     for spec in specs:
         shape = shapes[-1]
@@ -288,16 +299,9 @@ def load_model(path) -> CnnModel:
         kind = _KIND_NAMES.get(kind_code)
         if kind is None:
             raise ChecksumMismatch(f"{path}: unknown layer kind code {kind_code}")
-        specs.append(
-            LayerSpec(
-                kind,
-                relu=bool(relu),
-                kernel=(kh, kw) if kind in ("conv", "maxpool") else None,
-                stride=(sh, sw) if kind in ("conv", "maxpool") else None,
-                out_channels=out if kind == "conv" else None,
-                out_units=out if kind == "dense" else None,
-            )
-        )
+        stored = dict(relu=bool(relu), kernel=(kh, kw), stride=(sh, sw),
+                      out_channels=out, out_units=out)
+        specs.append(LayerSpec(kind, **{f: stored[f] for f in _KIND_FIELDS[kind]}))
     try:
         shapes = _layer_shapes(specs, input_shape)
     except ShapeMismatch as exc:

@@ -15,7 +15,7 @@ import pytest
 
 from botgrid.axml import parse_axml
 from botgrid.cli import main as cli_main
-from botgrid.encoder import encode
+from botgrid.encoder import encode, image
 from botgrid.errors import ParseError
 from botgrid.manifest import PermissionSet
 from botgrid.metrics import ConfusionCounts, compute_metrics
@@ -252,20 +252,20 @@ def test_criterion_4_encoder_properties(verdict):
         n = rng.randint(1, 16)
         vocab = PermissionVocabulary(tuple(rng.sample(pool, n)))
         perms = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
-        img = encode(PermissionSet("a", perms), vocab)
+        px = image(encode(PermissionSet(perms), vocab))
 
-        assert np.array_equal(img.pixels, img.pixels.T)
+        assert np.array_equal(px, px.T)
         k = sum(1 for p in perms if p in vocab)
-        assert img.zero_count() == k * k
+        assert np.count_nonzero(px == 0) == k * k
         present = [p in perms for p in vocab.permissions]
         for i in range(n):
             for j in range(n):
                 want = 0 if present[i] and present[j] else 255
-                assert img.pixels[i, j] == want
+                assert px[i, j] == want
 
         extra = rng.choice(vocab.permissions)
-        grown = encode(PermissionSet("a", perms | {extra}), vocab)
-        assert np.all(grown.pixels <= img.pixels)
+        grown = image(encode(PermissionSet(perms | {extra}), vocab))
+        assert np.all(grown <= px)
         checked += 1
     verdict("4 encoder properties", True, f"{checked} random pairs, exact")
 

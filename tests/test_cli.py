@@ -12,7 +12,7 @@ import pytest
 import botgrid
 from botgrid import training
 from botgrid.cli import _build_parser, _load_config, main
-from botgrid.encoder import encode
+from botgrid.encoder import encode, image
 from botgrid.dataset import load_dataset_manifest
 from botgrid.errors import ManifestCsvError, NonFiniteLoss
 from botgrid.manifest import KINDS, read_permissions
@@ -114,9 +114,8 @@ def test_vocab_then_encode_matches_library(tmp_path, corpus_dir):
         "--vocab", str(vocab_path), "--out", str(img_path),
     ]) == 0
     perms = read_permissions(sample, "permlist")
-    expected = encode(perms, vocab)
     payload = img_path.read_bytes().split(b"\n", 3)[3]
-    assert payload == expected.pixels.tobytes()
+    assert payload == image(encode(perms, vocab)).tobytes()
 
 
 def test_cv_reports_byte_identical(tmp_path, corpus_dir):

@@ -93,6 +93,23 @@ def test_csv_with_an_oversized_field_is_a_parse_error(tmp_path):
         load_dataset_manifest(path)
 
 
+def test_manifest_csv_skips_a_blank_row(tmp_path):
+    path = make_manifest(tmp_path, [("a.txt", "benign", "permlist"), ("",),
+                                    ("b.txt", "botnet", "permlist")])
+    assert load_dataset_manifest(path) == [
+        ManifestRecord(str(tmp_path / "a.txt"), "benign", "permlist"),
+        ManifestRecord(str(tmp_path / "b.txt"), "botnet", "permlist"),
+    ]
+
+
+def test_manifest_csv_row_with_two_fields_names_its_line(tmp_path):
+    path = make_manifest(tmp_path, [("a.txt", "benign", "permlist"), ("",),
+                                    ("b.txt", "botnet")])
+    message = f"^{re.escape(str(path))}:4: expected 3 fields, got 2$"
+    with pytest.raises(ManifestCsvError, match=message):
+        load_dataset_manifest(path)
+
+
 def test_ingest_zero_counts_follow_square_law(tmp_path):
     vocab = PermissionVocabulary(tuple(f"p{i}" for i in range(6)))
     contents = [["p0"], ["p1", "p3"], ["p0", "p2", "p5"]]

@@ -1,10 +1,10 @@
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from botgrid.encoder import CoOccurrenceImage, dump_pgm, encode, normalize, out_of_vocabulary
+from botgrid.dataset import encode_corpus
+from botgrid.encoder import dump_pgm, encode, image, normalize
 from botgrid.manifest import PermissionSet
 from botgrid.vocabulary import PermissionVocabulary
 
@@ -12,7 +12,7 @@ VOCAB8 = PermissionVocabulary(tuple(f"p{i}" for i in range(8)))
 
 
 def ps(*perms):
-    return PermissionSet("app", frozenset(perms))
+    return PermissionSet(frozenset(perms))
 
 
 def brute_force_pixels(perms, vocab):
@@ -26,24 +26,27 @@ def brute_force_pixels(perms, vocab):
 
 
 def test_empty_permissions_all_white():
-    img = encode(ps(), VOCAB8)
-    assert img.n == 8
-    assert np.all(img.pixels == 255)
+    present = encode(ps(), VOCAB8)
+    assert present.dtype == bool and present.shape == (8,)
+    px = image(present)
+    assert px.dtype == np.uint8 and px.shape == (8, 8)
+    assert np.all(px == 255)
 
 
 def test_singleton_permission():
-    img = encode(ps("p3"), VOCAB8)
+    present = encode(ps("p3"), VOCAB8)
+    assert np.flatnonzero(present).tolist() == [3]
     expected = np.full((8, 8), 255, dtype=np.uint8)
     expected[3, 3] = 0
-    assert np.array_equal(img.pixels, expected)
+    assert np.array_equal(image(present), expected)
 
 
 def test_pair_of_permissions():
-    img = encode(ps("p1", "p4"), VOCAB8)
+    px = image(encode(ps("p1", "p4"), VOCAB8))
     zeros = {(1, 1), (4, 4), (1, 4), (4, 1)}
     for i in range(8):
         for j in range(8):
-            assert img.pixels[i, j] == (0 if (i, j) in zeros else 255)
+            assert px[i, j] == (0 if (i, j) in zeros else 255)
 
 
 perm_sets = st.frozensets(st.sampled_from([f"p{i}" for i in range(12)]), max_size=12)
@@ -53,47 +56,51 @@ vocab_sizes = st.integers(min_value=1, max_value=10)
 @given(perms=perm_sets, n=vocab_sizes)
 def test_matches_brute_force(perms, n):
     vocab = PermissionVocabulary(tuple(f"p{i}" for i in range(n)))
-    img = encode(PermissionSet("a", perms), vocab)
-    assert np.array_equal(img.pixels, brute_force_pixels(perms, vocab))
+    present = encode(PermissionSet(perms), vocab)
+    expected = brute_force_pixels(perms, vocab)
+    assert np.array_equal(image(present), expected)
+    for dtype in (np.float32, np.float64):  # the network input is pixel/255, bit for bit
+        t = normalize(present, dtype=dtype)
+        assert t.dtype == dtype
+        assert np.array_equal(t[..., 0], expected.astype(dtype) / dtype(255))
 
 
 @given(perms=perm_sets, n=vocab_sizes)
 def test_symmetry_and_zero_count(perms, n):
     vocab = PermissionVocabulary(tuple(f"p{i}" for i in range(n)))
-    img = encode(PermissionSet("a", perms), vocab)
-    assert np.array_equal(img.pixels, img.pixels.T)
+    px = image(encode(PermissionSet(perms), vocab))
+    assert np.array_equal(px, px.T)
     k = len([p for p in perms if p in vocab])
-    assert img.zero_count() == k * k
+    assert np.count_nonzero(px == 0) == k * k
     # off-diagonal black implies both diagonal cells black
     for i in range(n):
         for j in range(n):
-            if img.pixels[i, j] == 0:
-                assert img.pixels[i, i] == 0 and img.pixels[j, j] == 0
+            if px[i, j] == 0:
+                assert px[i, i] == 0 and px[j, j] == 0
 
 
 @given(perms=perm_sets)
 def test_depends_only_on_vocab_intersection(perms):
     vocab = PermissionVocabulary(("p0", "p1", "p2"))
-    with_noise = PermissionSet("a", perms | {"unlisted.permission"})
-    without = PermissionSet("a", perms)
+    with_noise = PermissionSet(perms | {"unlisted.permission"})
+    without = PermissionSet(perms)
     assert np.array_equal(
-        encode(with_noise, vocab).pixels,
-        encode(
-            PermissionSet("b", frozenset(p for p in with_noise.permissions if p in vocab)), vocab
-        ).pixels,
+        encode(with_noise, vocab),
+        encode(PermissionSet(frozenset(p for p in with_noise.permissions if p in vocab)), vocab),
     )
-    assert out_of_vocabulary(without, vocab) == frozenset(
-        p for p in perms if p not in ("p0", "p1", "p2")
-    )
+    # encode_corpus tallies what the presence vector leaves out
+    _, oov = encode_corpus([without, with_noise], vocab)
+    outside = len([p for p in perms if p not in ("p0", "p1", "p2")])
+    assert oov == [outside, outside + 1]
 
 
 @given(perms=perm_sets, extra=st.sampled_from([f"p{i}" for i in range(10)]), n=vocab_sizes)
 def test_monotone_no_black_turns_white(perms, extra, n):
     vocab = PermissionVocabulary(tuple(f"p{i}" for i in range(n)))
-    base = encode(PermissionSet("a", perms), vocab)
-    grown = encode(PermissionSet("a", perms | {extra}), vocab)
+    base = image(encode(PermissionSet(perms), vocab))
+    grown = image(encode(PermissionSet(perms | {extra}), vocab))
     # adding a permission can only turn white pixels black
-    assert np.all(grown.pixels <= base.pixels)
+    assert np.all(grown <= base)
 
 
 def test_normalize_all_white_is_all_ones():
@@ -103,10 +110,11 @@ def test_normalize_all_white_is_all_ones():
 
 
 def test_normalize_preserves_zero_count_and_inverts():
-    img = encode(ps("p0", "p5", "p6"), VOCAB8)
-    t = normalize(img)
-    assert int(np.sum(t == 0.0)) == img.zero_count() == 9
-    assert np.array_equal((t * 255).astype(np.uint8).reshape(8, 8), img.pixels)
+    present = encode(ps("p0", "p5", "p6"), VOCAB8)
+    t = normalize(present)
+    px = image(present)
+    assert int(np.sum(t == 0.0)) == np.count_nonzero(px == 0) == 9
+    assert np.array_equal((t * 255).astype(np.uint8).reshape(8, 8), px)
 
 
 def test_normalize_dtype():
@@ -129,7 +137,7 @@ def read_pgm(path):
 
 def test_pgm_two_by_two_all_white(tmp_path):
     path = tmp_path / "img.pgm"
-    dump_pgm(CoOccurrenceImage(np.full((2, 2), 255, np.uint8)), path)
+    dump_pgm(np.zeros(2, bool), path)
     blob = path.read_bytes()
     assert blob == b"P5\n2 2\n255\n" + b"\xff" * 4
     assert len(blob) == 15
@@ -137,18 +145,13 @@ def test_pgm_two_by_two_all_white(tmp_path):
 
 def test_pgm_one_by_one_black(tmp_path):
     path = tmp_path / "img.pgm"
-    dump_pgm(CoOccurrenceImage(np.zeros((1, 1), np.uint8)), path)
+    dump_pgm(np.ones(1, bool), path)
     assert path.read_bytes()[-1:] == b"\x00"
 
 
 @given(perms=perm_sets)
 def test_pgm_round_trip(tmp_path_factory, perms):
-    img = encode(PermissionSet("a", perms), VOCAB8)
+    present = encode(PermissionSet(perms), VOCAB8)
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
-    dump_pgm(img, path)
-    assert np.array_equal(read_pgm(path), img.pixels)
-
-
-def test_rejects_non_square():
-    with pytest.raises(ValueError):
-        CoOccurrenceImage(np.zeros((2, 3), np.uint8))
+    dump_pgm(present, path)
+    assert np.array_equal(read_pgm(path), brute_force_pixels(perms, VOCAB8))

@@ -55,7 +55,7 @@ def test_sdk23_element_name_passthrough():
     )
     root = parse_plain_manifest(text)
     assert root[0].tag == "uses-permission-sdk-23"
-    perms = extract_permissions(root, "x")
+    perms = extract_permissions(root)
     assert perms.permissions == frozenset({"android.permission.CAMERA"})
 
 
@@ -65,11 +65,35 @@ def test_malformed_xml():
 
 
 def test_extract_two_permissions():
-    perms = extract_permissions(parse_plain_manifest(PLAIN), "app")
+    perms = extract_permissions(parse_plain_manifest(PLAIN))
     assert perms.permissions == frozenset(
         {"android.permission.INTERNET", "android.permission.SEND_SMS"}
     )
-    assert perms.app_id == "app"
+
+
+def test_permission_elements_match_by_local_name_in_any_namespace():
+    text = (
+        '<manifest xmlns:android="http://schemas.android.com/apk/res/android"'
+        ' xmlns:x="urn:example">'
+        '<x:uses-permission android:name="android.permission.NFC"/>'
+        '<x:uses-permission-sdk-23 name="android.permission.CAMERA"/>'
+        '<x:permission android:name="declared.not.requested"/>'
+        "</manifest>"
+    )
+    root = parse_plain_manifest(text)
+    assert root[0].tag == "{urn:example}uses-permission"
+    assert extract_permissions(root).permissions == frozenset(
+        {"android.permission.NFC", "android.permission.CAMERA"}
+    )
+
+
+def test_manifest_bytes_neither_axml_nor_utf8_are_malformed():
+    with pytest.raises(
+        MalformedXml,
+        match="^manifest is neither AXML nor UTF-8 XML: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte$",
+    ):
+        parse_manifest_bytes(b"\xff\xfe<\x00m\x00/\x00>\x00")
 
 
 def test_extract_collapses_duplicates():
@@ -79,12 +103,12 @@ def test_extract_collapses_duplicates():
         '<uses-permission android:name=" android.permission.INTERNET "/>'
         "</manifest>"
     )
-    perms = extract_permissions(parse_plain_manifest(text), "x")
+    perms = extract_permissions(parse_plain_manifest(text))
     assert perms.permissions == frozenset({"android.permission.INTERNET"})
 
 
 def test_extract_empty_manifest():
-    assert extract_permissions(parse_plain_manifest("<manifest/>"), "x").permissions == frozenset()
+    assert extract_permissions(parse_plain_manifest("<manifest/>")).permissions == frozenset()
 
 
 def test_blank_names_skipped_and_tallied():
@@ -95,7 +119,7 @@ def test_blank_names_skipped_and_tallied():
         '<uses-permission android:name="android.permission.NFC"/>'
         "</manifest>"
     )
-    perms = extract_permissions(parse_plain_manifest(text), "x")
+    perms = extract_permissions(parse_plain_manifest(text))
     assert perms.permissions == frozenset({"android.permission.NFC"})
 
 
@@ -110,10 +134,10 @@ def test_names_a_line_file_cannot_hold_are_skipped():
         '<uses-permission android:name=" android.permission.NFC&#10;"/>'
         "</manifest>"
     )
-    perms = extract_permissions(parse_plain_manifest(text), "x")
+    perms = extract_permissions(parse_plain_manifest(text))
     assert perms.permissions == frozenset({"android.permission.NFC"})
     tree = permissions_manifest(["# comment", "e\rf", "g\x85h", "android.permission.NFC"])
-    perms = extract_permissions(parse_axml(build_axml(tree)), "x")
+    perms = extract_permissions(parse_axml(build_axml(tree)))
     assert perms.permissions == frozenset({"android.permission.NFC"})
 
 
@@ -176,7 +200,7 @@ def test_extraction_follows_the_documented_rules():
         expected = _expected_permissions(tree)
         for utf8 in (False, True):
             root = parse_axml(build_axml(tree, utf8=utf8))
-            assert extract_permissions(root, "x").permissions == expected
+            assert extract_permissions(root).permissions == expected
         found += len(expected)
     assert found > 0
 
@@ -187,7 +211,7 @@ def test_custom_permission_names_kept_verbatim():
         '<uses-permission android:name="com.vendor.sdk.READ_THINGS"/>'
         "</manifest>"
     )
-    perms = extract_permissions(parse_plain_manifest(text), "x")
+    perms = extract_permissions(parse_plain_manifest(text))
     assert perms.permissions == frozenset({"com.vendor.sdk.READ_THINGS"})
 
 
@@ -201,8 +225,8 @@ def test_axml_and_plaintext_extract_identically():
     )
     plain_doc = parse_plain_manifest(plain)
     assert (
-        extract_permissions(axml_doc, "a").permissions
-        == extract_permissions(plain_doc, "a").permissions
+        extract_permissions(axml_doc).permissions
+        == extract_permissions(plain_doc).permissions
     )
 
 
@@ -218,7 +242,7 @@ def test_extraction_order_insensitive(names):
         permissions_manifest(list(reversed(names))),
     ]
     results = {
-        extract_permissions(parse_axml(build_axml(d)), "x").permissions for d in docs
+        extract_permissions(parse_axml(build_axml(d))).permissions for d in docs
     }
     assert len(results) == 1
 
@@ -309,6 +333,6 @@ def test_android_namespace_required_for_name():
         '<uses-permission android:name="ns.permission.SECOND" name="ignored.one"/>'
         "</manifest>"
     )
-    perms = extract_permissions(parse_plain_manifest(text), "x")
+    perms = extract_permissions(parse_plain_manifest(text))
     assert perms.permissions == frozenset({"bare.permission.FIRST", "ns.permission.SECOND"})
     assert ANDROID_NS == "http://schemas.android.com/apk/res/android"

@@ -104,6 +104,45 @@ def test_invalid_stack_rejected_at_build():
         CnnModel(specs, (3, 3, 1), seed=0)  # second pool sees a 1x1 input
 
 
+# A model file holds one size per layer, out_channels or out_units, so a
+# dense spec that also held out_channels=7 would build its Dense with
+# out_units but save 7 units, a file that no longer loads.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="dense", out_units=2, out_channels=7), "dense layers take no out_channels"),
+        (dict(kind="dense", out_units=2, kernel=(3, 3)), "dense layers take no kernel"),
+        (dict(kind="conv", kernel=(3, 3), stride=(1, 1), out_channels=4, out_units=4),
+         "conv layers take no out_units"),
+        (dict(kind="maxpool", relu=True, kernel=(2, 2), stride=(2, 2)),
+         "maxpool layers take no relu"),
+        (dict(kind="softmax", stride=(1, 1)), "softmax layers take no stride"),
+        (dict(kind="conv", kernel=(3, 3), out_channels=4), "conv layers need stride"),
+        (dict(kind="dense"), "dense layers need out_units"),
+        (dict(kind="flatten"), "unknown layer kind 'flatten'"),
+    ],
+    ids=["dense-channels", "dense-kernel", "conv-units", "pool-relu", "softmax-stride",
+         "conv-stride", "dense-units", "unknown-kind"],
+)
+def test_a_spec_sets_exactly_the_fields_its_kind_uses(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LayerSpec(**fields)
+
+
+def test_a_model_takes_an_h_w_c_input(tmp_path):
+    # load_model reads only rank-3 inputs, so a model on a (5,) input would
+    # save a file that does not load.
+    specs = (LayerSpec("dense", out_units=2), LayerSpec("softmax"))
+    with pytest.raises(ShapeMismatch, match=r"expected an \(h, w, c\) input shape, got \(5,\)"):
+        CnnModel(specs, (5,))
+    model = CnnModel(specs, (1, 1, 5), seed=3, dtype=np.float64)
+    save_model(model, tmp_path / "model.bin")
+    loaded = load_model(tmp_path / "model.bin")
+    assert loaded.input_shape == (1, 1, 5)
+    x = np.random.default_rng(3).random((4, 1, 1, 5))
+    assert np.array_equal(loaded.forward(x), model.forward(x))
+
+
 REDUCED = (
     LayerSpec("conv", relu=True, kernel=(3, 3), stride=(1, 1), out_channels=4),
     LayerSpec("maxpool", kernel=(2, 2), stride=(2, 2)),

@@ -665,6 +665,29 @@ def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(le
         TrainConfig(learning_rate=learning_rate)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(epochs=-1), "epochs must be >= 0"),
+        (dict(batch_size=0), "batch_size and vocab_size must be >= 1"),
+        (dict(vocab_size=0), "batch_size and vocab_size must be >= 1"),
+        (dict(val_fraction=1.0), r"val_fraction must lie in \[0, 1\)"),
+        (dict(dtype="float16"), "dtype must be float32 or float64, got 'float16'"),
+    ],
+    ids=["epochs", "batch-size", "vocab-size", "val-fraction", "dtype"],
+)
+def test_train_config_rejects_an_out_of_range_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**fields)
+
+
+def test_render_report_rejects_an_unknown_format(small_corpus):
+    records, _, _, _, _ = small_corpus
+    result = cross_validate(records, TrainConfig(epochs=0, k=2, seed=11, vocab_size=16))
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        render_report(result, fmt="xml")
+
+
 def test_cross_validate_determinism(small_corpus):
     records, _, _, _, _ = small_corpus
     cfg = TrainConfig(epochs=1, k=2, seed=11, vocab_size=16)

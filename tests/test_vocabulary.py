@@ -22,7 +22,7 @@ from axml_writer import build_axml, permissions_manifest
 def rank(botnet_sets, benign_sets, n):
     """build_fold_vocabulary over botnet apps, then benign apps."""
     perm_sets = [
-        PermissionSet(f"{label}{i}", frozenset(perms))
+        PermissionSet(frozenset(perms))
         for label, sets in (("botnet", botnet_sets), ("benign", benign_sets))
         for i, perms in enumerate(sets)
     ]
@@ -62,7 +62,7 @@ def test_read_phone_state_style_fraction():
 
 def test_permutation_invariance():
     perm_sets = [
-        PermissionSet(f"app{i}", frozenset(perms))
+        PermissionSet(frozenset(perms))
         for i, perms in enumerate([{"a"}, {"a", "b"}, {"c", "b"}, {"c"}, {"d", "a"}, set()])
     ]
     labels = ["botnet", "botnet", "botnet", "benign", "benign", "benign"]
@@ -189,8 +189,8 @@ def test_extracted_vocabulary_survives_its_file(tmp_path_factory, odd):
         "</manifest>"
     )
     perm_sets = [
-        extract_permissions(parse_axml(build_axml(permissions_manifest(odd))), "bot"),
-        extract_permissions(plain, "ben"),
+        extract_permissions(parse_axml(build_axml(permissions_manifest(odd)))),
+        extract_permissions(plain),
     ]
     path = tmp_path_factory.mktemp("names") / "names.txt"
     for perms in perm_sets:
