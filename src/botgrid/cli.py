@@ -81,7 +81,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--vocab-from-all", action="store_true", default=None,
                    help="rank the vocabulary over the whole corpus (leaks test folds)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="fold worker processes; with 1, folds train on two threads when a "
+        "second CPU is free (results are the same either way)",
+    )
     p.add_argument("--report", help="report output path (default: stdout)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--traces", help="directory for per-fold epoch trace CSVs")

@@ -2,17 +2,19 @@
 one busy.
 
 A process may run work beside its own thread only when its share of the
-CPUs it may use is more than one CPU.  Its share is the CPUs divided by the
-processes doing the same work on them: one of cross_validate's fold
-workers on a two-CPU host gets one CPU, and so starts no helper thread and
-uses no reader process (see nn.layers and dataset).
+CPUs it may use is more than the threads it already keeps busy.  Its
+share is the CPUs divided by the processes doing the same work on them:
+one of cross_validate's fold workers on a two-CPU host gets one CPU, and
+so starts no helper thread and uses no reader process (see nn.layers and
+dataset).
 
 A helper thread lives for one `in_parallel` call, so no thread outlives
-the call that started it, and a process may fork between calls.  A call
-whose thread cannot be started runs both halves itself.  No caller nests
-`in_parallel`: evaluate's chunk workers (see training) run inference
-forwards, which never split a conv, and training, whose convs do split,
-never runs inside an `in_parallel` call.
+the call that started it, and a process may fork between calls.  For the
+length of the call its helper counts as busy, process-wide, so a call
+made inside either half, or by another thread meanwhile, sees one CPU
+fewer: on two CPUs, a conv inside one of cross_validate's fold threads
+(see training) runs both halves on its own thread.  A call that finds no
+spare CPU, or whose thread cannot be started, runs both halves itself.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import threading
 
 # How many processes doing the same work share this one's CPUs.
 _processes_sharing = 1
+# Helper threads that in_parallel calls in this process are running.
+_helpers = 0
+_helpers_lock = threading.Lock()
 
 
 def sharing_cpus(processes: int, fn, *args):
@@ -42,8 +47,9 @@ def usable_cpus() -> int:
 
 
 def spare_cpu() -> bool:
-    """True when this process's share of the CPUs it may use is more than one."""
-    return usable_cpus() // _processes_sharing > 1
+    """True when this process's share of the CPUs it may use is more than
+    its calling thread and the helpers in_parallel has running."""
+    return usable_cpus() // _processes_sharing > 1 + _helpers
 
 
 def in_parallel(first, second):
@@ -52,8 +58,18 @@ def in_parallel(first, second):
     they overlap.  Both run here when the process has no spare CPU or when
     no thread can be started.  Returns or raises only once neither is
     running."""
-    if not spare_cpu():
-        return first(), second()
+    global _helpers
+    with _helpers_lock:
+        spare = spare_cpu()
+        _helpers += spare
+    try:
+        return _on_helper(first, second) if spare else (first(), second())
+    finally:
+        with _helpers_lock:
+            _helpers -= spare
+
+
+def _on_helper(first, second):
     outcome: list = []
 
     def run_first() -> None:

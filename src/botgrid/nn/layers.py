@@ -9,10 +9,12 @@ rows and columns of its output that a later layer reads (pooling drops a
 trailing row or column that does not fill a window) and writes +0.0 at
 the rest.  It gathers its im2col rows from a strided (N, rows, cols, kh,
 kw, C) window view of the padded input in tiles of whole images, one
-copy per tile, and multiplies each tile while it is still in cache.
-Training gathers into the whole batch's im2col matrix, which the backward
-pass keeps; an inference forward reuses one tile-sized buffer and never
-holds the whole matrix.  Max pooling routes each window's gradient to
+copy per tile into one buffer that each thread reuses, and multiplies
+each tile while it is still in cache; no conv ever holds the whole
+batch's im2col matrix.  A training forward caches the window view and
+the ReLU mask, and backward gathers each tile again for the weight
+gradient (recomputing rather than storing, as in Chen et al.,
+arXiv 1604.06174).  Max pooling routes each window's gradient to
 the first row-major position holding its maximum.  All layers preserve
 the dtype of their inputs.  Every layer derives from `_Layer`, whose
 docstring states the contract of the backward cache, and the two weighted
@@ -22,14 +24,17 @@ In training, a conv runs its independent GEMMs on two cores: the
 calling thread and a helper thread that lives for the call (see cpus).
 A training forward splits a large enough batch into two halves of whole
 images, and backward makes the weight gradient beside the input
-gradient.  Every GEMM keeps the rows and operands it would have without
-the helper, so results do not depend on scheduling or on the CPU count.
-In a process whose share of the CPUs is one (one of cross_validate's
-fold workers on a two-CPU host), a conv runs its whole forward batch and
-both backward GEMMs on its own thread.  An inference forward never
-splits: inference uses the second core by forwarding whole chunks on two
-threads (see training), so a conv inside a chunk runs its whole batch on
-its thread and never calls `in_parallel` inside another call.  A dense
+gradient.  Every forward and input-gradient GEMM keeps the rows and
+operands it would have without the helper.  The weight gradient is a
+sum, in tile order over the whole batch, of one GEMM per tile: it does
+not give the bits of one whole-batch GEMM, but it is the same sum
+whatever the split.  So results do not depend on scheduling or on the
+CPU count.  In a process whose share of the CPUs is one (one of
+cross_validate's fold threads or fold workers on a two-CPU host), a
+conv runs its whole forward batch and both backward GEMMs on its own
+thread.  An inference forward never splits: inference uses the second
+core by forwarding whole chunks on two threads (see training), so a
+conv inside a chunk runs its whole batch on its thread.  A dense
 layer runs its GEMM in zero-padded tiles of a fixed row count, so a row
 gets the same bits whatever else its batch holds.
 """
@@ -44,11 +49,12 @@ from ..cpus import in_parallel, spare_cpu
 from ..errors import ShapeMismatch
 
 
-# Conv2D gathers and multiplies its im2col rows in forward, and makes and
-# scatters its input gradient in backward, in even tiles of whole images of
-# about this many rows each, so each tile is used while in cache.  No tile
-# drops below half of it: BLAS can round a GEMM of a handful of rows
-# differently from the whole batch's.
+# Conv2D gathers and multiplies its im2col rows in forward, gathers them
+# again for its weight gradient and makes and scatters its input gradient
+# in backward, in even tiles of whole images of about this many rows each,
+# so each tile is used while in cache.  No tile drops below half of it:
+# BLAS can round a GEMM of a handful of rows differently from the whole
+# batch's.
 TILE_ROWS = 800
 # Conv2D.forward splits its batch into two halves of whole images only when
 # each half has at least this many im2col rows, for the same reason.
@@ -66,6 +72,21 @@ def _image_tiles(lo: int, hi: int, rows_per_image: int) -> list[tuple[int, int]]
     count = hi - lo
     tiles = max(1, min(count, count * rows_per_image // TILE_ROWS))
     return [(lo + count * t // tiles, lo + count * (t + 1) // tiles) for t in range(tiles)]
+
+
+def _gathered(windows: np.ndarray, lo: int, hi: int):
+    """(rows, cols) for each tile of images [lo, hi) of a conv's (N, rows,
+    cols, kh, kw, C) window view: the tile's slice of the batch's im2col
+    rows, and those rows gathered into one buffer that every tile reuses."""
+    _, eh, ew, kh, kw, cin = windows.shape
+    per_image = eh * ew
+    tiles = _image_tiles(lo, hi, per_image)
+    largest = max(stop - start for start, stop in tiles)
+    buffer = np.empty((largest * per_image, kh * kw * cin), windows.dtype)
+    for start, stop in tiles:
+        cols = buffer[: (stop - start) * per_image]
+        np.copyto(cols.reshape(stop - start, eh, ew, kh, kw, cin), windows[start:stop])
+        yield slice(start * per_image, stop * per_image), cols
 
 
 def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -180,20 +201,11 @@ class Conv2D(_Weighted):
             xp, (n, eh, ew, kh, kw, cin), (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False
         )
         weights2 = self.weights.reshape(kh * kw * cin, self.out_channels)
-        per_image = eh * ew
-        cols2 = np.empty((n * per_image, kh * kw * cin), xp.dtype) if train else None
-        y2 = np.empty((n * per_image, self.out_channels), np.result_type(xp, weights2))
+        y2 = np.empty((n * eh * ew, self.out_channels), np.result_type(xp, weights2))
 
         def images(lo: int, hi: int) -> None:
             # the same GEMM rows as one whole-batch GEMM, in the same bits
-            tiles = _image_tiles(lo, hi, per_image)
-            if not train:
-                largest = max(stop - start for start, stop in tiles)
-                buffer = np.empty((largest * per_image, kh * kw * cin), xp.dtype)
-            for start, stop in tiles:
-                rows = slice(start * per_image, stop * per_image)
-                cols = cols2[rows] if train else buffer[: (stop - start) * per_image]
-                np.copyto(cols.reshape(stop - start, eh, ew, kh, kw, cin), windows[start:stop])
+            for rows, cols in _gathered(windows, lo, hi):
                 y = y2[rows]
                 np.matmul(cols, weights2, out=y)
                 y += self.bias
@@ -201,21 +213,22 @@ class Conv2D(_Weighted):
                     np.maximum(y, 0, out=y)
 
         half = n // 2
-        if train and half * per_image >= SPLIT_MIN_ROWS and spare_cpu():
+        if train and half * eh * ew >= SPLIT_MIN_ROWS and spare_cpu():
             in_parallel(lambda: images(half, n), lambda: images(0, half))
         else:
             images(0, n)
         if train:
             mask = y2 > 0 if self.relu else None
-            self._cache = (x.shape, (pad_top, pad_left), cols2, mask, (eh, ew))
+            self._cache = (x.shape, (pad_top, pad_left), windows, mask)
         y = y2.reshape(n, eh, ew, self.out_channels)
         if (eh, ew) == (out_h, out_w):
             return y
         return np.pad(y, ((0, 0), (0, out_h - eh), (0, out_w - ew), (0, 0)))
 
     def backward(self, grad: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        x_shape, (pad_top, pad_left), cols2, mask, (eh, ew) = self._cached()
+        x_shape, (pad_top, pad_left), windows, mask = self._cached()
         n, h, w, cin = x_shape
+        eh, ew = windows.shape[1:3]
         kh, kw = self.kernel
         sh, sw = self.stride
         out_h, out_w = _same_padding(h, kh, sh)[0], _same_padding(w, kw, sw)[0]
@@ -228,7 +241,12 @@ class Conv2D(_Weighted):
         self.grad_bias = g2.sum(axis=0)
 
         def weight_gradient() -> np.ndarray:
-            return (cols2.T @ g2).reshape(self.weights.shape)
+            # summed tile by tile over im2col rows gathered again, in the
+            # same tiles whatever the forward split or the CPU count
+            total = np.zeros((kh * kw * cin, self.out_channels), np.result_type(windows, g2))
+            for rows, cols in _gathered(windows, 0, n):
+                total += cols.T @ g2[rows]
+            return total.reshape(self.weights.shape)
 
         if not need_input_grad:
             self.grad_weights = weight_gradient()

@@ -12,12 +12,18 @@ vocab_from_all to rank permissions over the whole corpus instead.
 Inference forwards each distinct image once, in even chunks of at most
 EVAL_BATCH rows.  The calling thread and one helper thread (see cpus)
 each take the next chunk nobody has taken until none is left; an
-inference forward never splits a conv, so each chunk runs on one thread
-and no `in_parallel` call runs inside another.  Only train_step's convs
-split, and training never runs inside an `in_parallel` call.  A forward
-gives each row the same bits whatever else its batch holds, in either
-dtype, so batch-1 predict and evaluate agree on every sample, and which
-thread forwards a chunk changes no bits either.
+inference forward never splits a conv, so each chunk runs on one thread.
+A forward gives each row the same bits whatever else its batch holds, in
+either dtype, so batch-1 predict and evaluate agree on every sample, and
+which thread forwards a chunk changes no bits either.
+
+cross_validate with jobs=1 trains its folds the same way: the calling
+thread and one helper each take the next fold and write its result into
+that fold's slot.  While they run, the helper holds the process's spare
+CPU, so the train steps and evaluate inside a fold start no thread of
+their own; a fold's result does not depend on which thread ran it, or
+on whether a helper ran at all.  jobs > 1 trains folds in that many
+processes instead, each with its share of the CPUs.
 
 Training, likewise, forwards and backpropagates each distinct (image,
 label) row of a batch once, with the summed loss gradient of its copies;
@@ -29,7 +35,9 @@ Each convolution computes only the output rows and columns that a later
 layer reads (see nn.model), so inference gives the same bits as computing
 every output.  Training sums each conv's weight and bias gradients over
 the read rows only, which drops only exact zeros but can change the last
-bits, as the deduplicated rows can.
+bits, as the deduplicated rows can.  A conv's weight gradient is also
+summed tile by tile (see nn.layers), which differs from one whole-batch
+GEMM in the last bits.
 """
 
 from __future__ import annotations
@@ -215,19 +223,26 @@ def _distinct_rows(tensors: np.ndarray, labels: np.ndarray | None = None):
     return first, np.searchsorted(first, earliest)
 
 
-def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:
-    """Class per sample, each distinct image forwarded once; each chunk's
-    classes land in its own slot, whichever thread forwards it."""
-    first, inverse = _distinct_rows(tensors)
-    chunks = np.array_split(first, -(-len(first) // EVAL_BATCH))
-    predicted: list = [None] * len(chunks)
+def _map_on_two_threads(fn, count: int) -> list:
+    """[fn(i) for i in range(count)], with the calling thread and one helper
+    thread (see cpus) each taking the next i that neither has taken; each
+    result lands in its own slot, whichever thread computed it."""
+    results: list = [None] * count
     claims = itertools.count()  # next() on a count is atomic under the GIL
 
     def work() -> None:
-        for i in itertools.takewhile(lambda i: i < len(chunks), claims):
-            predicted[i] = model.predict(tensors[chunks[i]])
+        for i in itertools.takewhile(lambda i: i < count, claims):
+            results[i] = fn(i)
 
     in_parallel(work, work)
+    return results
+
+
+def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:
+    """Class per sample, each distinct image forwarded once."""
+    first, inverse = _distinct_rows(tensors)
+    chunks = np.array_split(first, -(-len(first) // EVAL_BATCH))
+    predicted = _map_on_two_threads(lambda i: model.predict(tensors[chunks[i]]), len(chunks))
     return np.concatenate(predicted)[inverse]
 
 
@@ -385,7 +400,7 @@ def cross_validate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fold_results = list(pool.map(partial(sharing_cpus, workers, run), range(config.k)))
     else:
-        fold_results = list(map(run, range(config.k)))
+        fold_results = _map_on_two_threads(run, config.k)
 
     class_counts = {label: corpus.labels.count(label) for label in LABELS}
     return CvResult(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import botgrid
-from botgrid import training
+from botgrid import cpus, training
 from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode, image
 from botgrid.dataset import load_dataset_manifest
@@ -560,16 +560,29 @@ def test_json_settings_of_the_wrong_type_are_usage_errors(
     assert "Traceback" not in err
 
 
-def test_jobs_flag_matches_serial(tmp_path, corpus_dir):
+def test_jobs_flag_matches_serial(tmp_path, corpus_dir, monkeypatch):
+    # One process trains its folds on two threads when it has two CPUs and
+    # one after another when it has one; --jobs 2 trains them in two
+    # processes.  All three write the same report and traces.
     base = [
         "cv", "--manifest", str(corpus_dir / "data.csv"),
         "--k", "2", "--seed", "5", "--epochs", "1", "--n", "16",
     ]
-    serial = tmp_path / "serial.txt"
-    parallel = tmp_path / "parallel.txt"
-    assert main(base + ["--report", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--report", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+
+    def run(tag, *flags):
+        out = tmp_path / tag
+        out.mkdir()
+        assert main(base + [*flags, "--report", str(out / "report.txt"),
+                            "--traces", str(out / "traces")]) == 0
+        return [path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()]
+
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    serial = run("serial")
+    with monkeypatch.context() as patch:
+        patch.setattr(cpus, "usable_cpus", lambda: 1)
+        one_cpu = run("one_cpu")
+    assert len(serial) == 3  # the report and one trace per fold
+    assert serial == one_cpu == run("parallel", "--jobs", "2")
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

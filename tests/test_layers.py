@@ -146,7 +146,8 @@ def test_conv_gather_is_exact(kernel, stride, cin):
 
 def untiled_input_gradient(layer, grad):
     """The whole batch's im2col gradient, scattered window slot by slot."""
-    x_shape, (pad_top, pad_left), _, mask, (eh, ew) = layer._cache
+    x_shape, (pad_top, pad_left), windows, mask = layer._cache
+    eh, ew = windows.shape[1:3]
     n, h, w, cin = x_shape
     (kh, kw), (sh, sw) = layer.kernel, layer.stride
     oh, ow = grad.shape[1:3]
@@ -184,8 +185,10 @@ def test_conv_tiled_input_gradient_is_exact(shape, stride, dtype):
 
 
 def whole_batch_conv(layer, x, grad):
-    """A ReLU conv's output and weight and bias gradients, each from one
-    GEMM over the whole batch's im2col rows, as if nothing were split."""
+    """A ReLU conv's output and its weight and bias gradients over the whole
+    batch's im2col rows, as if nothing were split: the output and the
+    weight gradient each from one GEMM, and the weight gradient again as
+    backward makes it, summed tile by tile in `_image_tiles` order."""
     cols, (n, oh, ow) = im2col_reference(x, layer.kernel, layer.stride)
     eh, ew = np.minimum(layer.extent or (oh, ow), (oh, ow))  # as the layer clamps it
     cols = cols.reshape(n, oh, ow, -1)[:, :eh, :ew].reshape(n * eh * ew, -1)
@@ -193,7 +196,18 @@ def whole_batch_conv(layer, x, grad):
     y = np.zeros((n, oh, ow, layer.out_channels), x.dtype)
     y[:, :eh, :ew] = y2.reshape(n, eh, ew, -1)
     g2 = grad[:, :eh, :ew].reshape(-1, layer.out_channels) * (y2 > 0)
-    return y, (cols.T @ g2).reshape(layer.weights.shape), g2.sum(axis=0)
+    rows = [slice(lo * eh * ew, hi * eh * ew) for lo, hi in layers._image_tiles(0, n, eh * ew)]
+    tiled = sum(cols[tile].T @ g2[tile] for tile in rows)
+    gw_shape = layer.weights.shape
+    return y, (cols.T @ g2).reshape(gw_shape), tiled.reshape(gw_shape), g2.sum(axis=0)
+
+
+# How far a tile-order weight gradient may stray from one whole-batch GEMM,
+# relative to each element and, as absolute slack, to the gradient's
+# largest element: entries that nearly cancel have no relative precision.
+# Measured over the geometries and batches below: at most 1.6e-6 (float32)
+# and 3.1e-15 (float64) of the largest element.
+WEIGHT_GRADIENT_RTOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-13}
 
 
 def inline_runner(monkeypatch):
@@ -218,12 +232,15 @@ def inline_runner(monkeypatch):
 )
 def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypatch):
     # Equal bytes: each half of a split forward, each of its tiles gathered
-    # into the whole im2col matrix (training) or one reused buffer
-    # (inference), and the weight gradient run beside the input gradient,
-    # keep the whole batch's GEMM rows and sums, whether the halves run on
-    # the helper thread or one after the other.  The batch sizes put tile
-    # and half boundaries on different images; the last two shapes are the
-    # reference model's conv2 and conv1 (one tile per image at batch 1).
+    # into one reused buffer, and the weight gradient run beside the input
+    # gradient, keep the whole batch's GEMM rows and sums, whether the
+    # halves run on the helper thread or one after the other.  The weight
+    # gradient is the sum over the whole batch's tiles, in tile order, of
+    # each tile's GEMM over its rows gathered again: the same bits at any
+    # split, but not those of one whole-batch GEMM, which it matches within
+    # WEIGHT_GRADIENT_RTOL.  The batch sizes put tile and half boundaries
+    # on different images; the last two shapes are the reference model's
+    # conv2 and conv1 (one tile per image at batch 1).
     h, w, cin, cout, kernel, extent = shape
     splits = inline_runner(monkeypatch) if runner == "inline" else []
     rng = np.random.default_rng(19)
@@ -238,9 +255,13 @@ def test_conv_split_and_overlap_are_exact(shape, stride, dtype, runner, monkeypa
         assert layer.forward(x).tobytes() == y.tobytes()
         grad = rng.standard_normal(y.shape).astype(dtype)
         grad_input = layer.backward(grad)
-        want_y, want_gw, want_gb = whole_batch_conv(layer, x, grad)
+        want_y, whole_gw, want_gw, want_gb = whole_batch_conv(layer, x, grad)
         assert y.tobytes() == want_y.tobytes()
         assert layer.grad_weights.tobytes() == want_gw.tobytes()
+        rtol = WEIGHT_GRADIENT_RTOL[np.dtype(dtype)]
+        np.testing.assert_allclose(
+            layer.grad_weights, whole_gw, rtol=rtol, atol=rtol * np.abs(whole_gw).max()
+        )
         assert layer.grad_bias.tobytes() == want_gb.tobytes()
         assert grad_input.tobytes() == untiled_input_gradient(layer, grad).tobytes()
     if runner == "inline":  # batch 33 splits every geometry here, batch 1 none
@@ -273,7 +294,7 @@ def test_inference_conv_keeps_no_whole_batch_im2col(monkeypatch):
     whole_cols, _ = im2col_reference(x, (5, 5), (1, 1))
     assert peak_bytes_of(layer.forward, x) < whole_cols.nbytes // 2
     assert layer._cache is None
-    layer.forward(x, train=True)  # backward still needs every row
+    layer.forward(x, train=True)  # backward gathers every row again from its windows
     assert layer._cache[2].tobytes() == whole_cols.tobytes()
 
 
@@ -299,6 +320,22 @@ def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):
     got = cpus.sharing_cpus(2, cpus.in_parallel, threading.get_ident, threading.get_ident)
     assert got == (here, here) and threading.active_count() == threads
     assert cpus._processes_sharing == 1
+
+
+def test_in_parallel_takes_the_spare_cpu_for_the_length_of_its_call(thread_starts, monkeypatch):
+    # On two CPUs a call made inside either half, as a conv inside one of
+    # cross_validate's fold threads makes it, runs both of its halves on
+    # the thread that made it.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+
+    def nested():
+        return cpus.spare_cpu(), cpus.in_parallel(threading.get_ident, threading.get_ident)
+
+    (spare_first, idents_first), (spare_second, idents_second) = cpus.in_parallel(nested, nested)
+    assert not spare_first and not spare_second
+    assert len(set(idents_first)) == len(set(idents_second)) == 1
+    assert idents_first != idents_second
+    assert len(thread_starts) == 1 and cpus.spare_cpu()
 
 
 class Boom(Exception):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -458,27 +459,25 @@ def test_no_layer_keeps_a_cache_after_training(small_corpus):
     assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
 
 
-def test_a_train_step_does_not_hold_the_last_steps_im2col(monkeypatch):
-    # Each layer's cache is released once its backward has run, so the
-    # second step's conv2 forward does not allocate its whole-batch im2col
-    # matrix (10,368 rows x 800 float32, 33.2 MB) beside the first step's.
-    # The first step runs traced, so what it leaves counts.  The bound is
-    # two conv2 matrices, the conv1 matrix that the second step's forward
-    # holds by then, and the gradients and Adam's two moments (three copies
-    # of the parameters) that the first step leaves for good: a step that
-    # still held the last step's conv2 matrix cannot stay under it.
-    # Measured (numpy 2.4.6, CPython 3.11): 103.1 MB when each layer kept
-    # its cache until its next training forward, 73.5 MB with the release.
+def test_a_train_step_never_allocates_a_whole_batch_im2col(monkeypatch):
+    # A training conv gathers its im2col rows tile by tile into one reused
+    # buffer per thread, in forward and again for the weight gradient, so
+    # no step allocates conv2's whole-batch matrix (10,368 rows x 800
+    # float32, 33.2 MB).  The first step runs traced, so the gradients and
+    # Adam's two moments it leaves for good (three copies of the
+    # parameters) count: a step that allocated the matrix would peak above
+    # the matrix plus those, 39.8 MB.  Measured (numpy 2.4.6, CPython 3.11,
+    # 2 CPUs): 37.0 MB, or 33.5 MB on one CPU, against 73.5 MB when
+    # training gathered the whole matrix and kept it for backward.
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     images = distinct_images(32, np.float32)
     labels = np.arange(32) % 2
-    probe = build_reference_model(seed=0, dtype=np.float32)
-    probe.forward(images, train=True)
-    conv1, conv2 = [layer._cache[2].nbytes for layer in probe.layers if isinstance(layer, Conv2D)][:2]
-    params = sum(p.nbytes for p in probe.params())
-    bound = 2 * conv2 + conv1 + 3 * params
-
     model, adam = build_reference_model(seed=0, dtype=np.float32), Adam()
+    conv2 = [layer for layer in model.layers if isinstance(layer, Conv2D)][1]
+    (kh, kw), (rows, cols) = conv2.kernel, conv2.extent
+    whole_im2col = 32 * rows * cols * kh * kw * conv2.in_channels * 4
+    assert whole_im2col == 10_368 * 800 * 4
+    bound = whole_im2col + 3 * sum(p.nbytes for p in model.params())
 
     def second_step():
         train_step(model, images, labels, adam)
@@ -621,6 +620,50 @@ def test_cross_validate_two_folds(small_corpus):
     for fr in result.folds:
         assert not set(fr.test_paths) & set(fr.train_paths)
         assert set(fr.vocab_paths) <= set(fr.train_paths)
+
+
+def test_cross_validate_trains_folds_on_one_helper_thread(small_corpus, thread_starts, monkeypatch):
+    # With a spare CPU, the calling thread and one helper each take the next
+    # fold.  While they run the process has no CPU to spare, so no train
+    # step or evaluate inside a fold starts a thread of its own.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    records = small_corpus[0]
+    trained_on, train = [], training.train
+
+    def recording_train(*args):
+        trained_on.append(threading.current_thread())
+        return train(*args)
+
+    monkeypatch.setattr(training, "train", recording_train)
+    result = cross_validate(records, TrainConfig(epochs=1, k=3, seed=11, vocab_size=16))
+    assert [fr.fold for fr in result.folds] == [0, 1, 2]
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert len(trained_on) == 3
+    assert set(trained_on) == {threading.current_thread(), thread_starts[0]}
+    assert cpus.spare_cpu()
+
+
+def test_a_failing_fold_raises_only_once_the_other_worker_stopped(
+    small_corpus, thread_starts, monkeypatch
+):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    records = small_corpus[0]
+    calls, finished, train = itertools.count(), [], training.train
+
+    def diverging_first(*args):
+        if next(calls) == 0:
+            raise NonFiniteLoss("loss diverged to nan")
+        result = train(*args)
+        finished.append(threading.current_thread())
+        return result
+
+    monkeypatch.setattr(training, "train", diverging_first)
+    with pytest.raises(NonFiniteLoss):
+        cross_validate(records, TrainConfig(epochs=1, k=3, seed=11, vocab_size=16))
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    # the worker whose fold raised took no other fold; the other took the rest
+    assert len(finished) == 2 and len(set(finished)) == 1
+    assert cpus.spare_cpu()
 
 
 FOLD_WORKERS_AFTER_HELPER = """
