@@ -18,5 +18,5 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 # Nothing is re-exported.  This import keeps `import botgrid` loading the
 # whole pipeline, which perfbench's import probe times; it goes once that
-# probe (ROADMAP item 1) times `import botgrid.cli` instead.
+# probe times `import botgrid.cli` instead (ROADMAP item 9).
 from . import synth, training  # noqa: E402, F401

@@ -81,11 +81,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--vocab-from-all", action="store_true", default=None,
                    help="rank the vocabulary over the whole corpus (leaks test folds)")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="fold worker processes; with 1, folds train on two threads when a "
-        "second CPU is free (results are the same either way)",
-    )
     p.add_argument("--report", help="report output path (default: stdout)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--traces", help="directory for per-fold epoch trace CSVs")
@@ -140,7 +135,12 @@ def _load_fields(path, cls, what: str) -> dict:
     for key, value in loaded.items():
         expected = type(defaults[key])
         if expected is float and type(value) is int:
-            loaded[key] = value = float(value)
+            try:
+                loaded[key] = value = float(value)
+            except OverflowError:  # past the largest float, about 1.8e308
+                raise ValueError(
+                    f"{what} key {key!r} must be float, got an integer too large for one"
+                ) from None
         if type(value) is not expected:
             raise ValueError(
                 f"{what} key {key!r} must be {expected.__name__}, got {json.dumps(value)}"
@@ -211,7 +211,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     config = _load_config(args)
     records = load_dataset_manifest(args.manifest)
-    result = cross_validate(records, config, jobs=args.jobs)
+    result = cross_validate(records, config)
     report = render_report(result, fmt=args.format)
     if args.report:
         Path(args.report).write_text(report, encoding="utf-8")

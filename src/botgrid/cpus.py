@@ -1,13 +1,6 @@
 """How many CPUs this process may keep busy, and how a call keeps a second
 one busy.
 
-A process may run work beside its own thread only when its share of the
-CPUs it may use is more than the threads it already keeps busy.  Its
-share is the CPUs divided by the processes doing the same work on them:
-one of cross_validate's fold workers on a two-CPU host gets one CPU, and
-so starts no helper thread and uses no reader process (see nn.layers and
-dataset).
-
 A helper thread lives for one `in_parallel` call, so no thread outlives
 the call that started it, and a process may fork between calls.  For the
 length of the call its helper counts as busy, process-wide, so a call
@@ -22,21 +15,9 @@ from __future__ import annotations
 import os
 import threading
 
-# How many processes doing the same work share this one's CPUs.
-_processes_sharing = 1
 # Helper threads that in_parallel calls in this process are running.
 _helpers = 0
 _helpers_lock = threading.Lock()
-
-
-def sharing_cpus(processes: int, fn, *args):
-    """fn(*args) in one of `processes` processes that share these CPUs."""
-    global _processes_sharing
-    before, _processes_sharing = _processes_sharing, processes
-    try:
-        return fn(*args)
-    finally:
-        _processes_sharing = before
 
 
 def usable_cpus() -> int:
@@ -47,9 +28,9 @@ def usable_cpus() -> int:
 
 
 def spare_cpu() -> bool:
-    """True when this process's share of the CPUs it may use is more than
-    its calling thread and the helpers in_parallel has running."""
-    return usable_cpus() // _processes_sharing > 1 + _helpers
+    """True when this process may use more CPUs than its calling thread
+    and the helpers in_parallel has running."""
+    return usable_cpus() > 1 + _helpers
 
 
 def in_parallel(first, second):

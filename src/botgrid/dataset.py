@@ -261,7 +261,11 @@ def _stop_reader() -> None:
 
 
 def _forget_reader() -> None:
-    """In a forked child: the parent's reader is the parent's to stop."""
+    """In a forked child: the parent's reader is the parent's to stop.
+
+    Safety code: the package forks nothing but the reader, but a caller may
+    fork (multiprocessing's `fork` start method, say), and the child must
+    not talk on the parent's reader pipe."""
     global _reader, _reader_lock
     if _reader is not None:
         _reader.conn.close()

@@ -29,14 +29,13 @@ operands it would have without the helper.  The weight gradient is a
 sum, in tile order over the whole batch, of one GEMM per tile: it does
 not give the bits of one whole-batch GEMM, but it is the same sum
 whatever the split.  So results do not depend on scheduling or on the
-CPU count.  In a process whose share of the CPUs is one (one of
-cross_validate's fold threads or fold workers on a two-CPU host), a
-conv runs its whole forward batch and both backward GEMMs on its own
-thread.  An inference forward never splits: inference uses the second
-core by forwarding whole chunks on two threads (see training), so a
-conv inside a chunk runs its whole batch on its thread.  A dense
-layer runs its GEMM in zero-padded tiles of a fixed row count, so a row
-gets the same bits whatever else its batch holds.
+CPU count.  With no spare CPU (in one of cross_validate's fold threads
+on a two-CPU host, say), a conv runs its whole forward batch and both
+backward GEMMs on its own thread.  An inference forward never splits:
+inference uses the second core by forwarding whole chunks on two threads
+(see training), so a conv inside a chunk runs its whole batch on its
+thread.  A dense layer runs its GEMM in zero-padded tiles of a fixed
+row count, so a row gets the same bits whatever else its batch holds.
 """
 
 from __future__ import annotations

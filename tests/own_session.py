@@ -1,5 +1,5 @@
 """Run a Python script in a session of its own, so that a hang kills what
-it forked (a stuck reader or fold worker) along with it."""
+it forked (a stuck reader) along with it."""
 
 from __future__ import annotations
 

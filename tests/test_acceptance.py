@@ -337,7 +337,7 @@ def acceptance_corpus(tmp_path_factory):
 def test_criterion_6_end_to_end_learning(acceptance_corpus, verdict):
     t0 = time.perf_counter()
     config = TrainConfig(epochs=25, batch_size=32, seed=2025, vocab_size=41, k=10)
-    result = cross_validate(acceptance_corpus, config, jobs=2)
+    result = cross_validate(acceptance_corpus, config)
     elapsed = time.perf_counter() - t0
 
     mean_acc = result.summary["accuracy"].mean

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import botgrid
-from botgrid import cpus, training
+from botgrid import cpus
 from botgrid.cli import _build_parser, _load_config, main
 from botgrid.encoder import encode, image
 from botgrid.dataset import load_dataset_manifest
@@ -299,41 +299,6 @@ def test_cv_with_a_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys, l
     assert "learning_rate must be positive and finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-4"])
-def test_cv_with_no_workers_is_a_usage_error(corpus_dir, capsys, jobs):
-    assert main([
-        "cv", "--manifest", str(corpus_dir / "data.csv"),
-        "--k", "2", "--epochs", "1", "--n", "16", "--jobs", jobs,
-    ]) == 1
-    assert "jobs must be >= 1" in capsys.readouterr().err
-
-
-def test_cv_starts_no_more_workers_than_folds(corpus_dir, monkeypatch):
-    requested = []
-
-    class InlinePool:
-        """Records the worker count asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
-    assert main([
-        "cv", "--manifest", str(corpus_dir / "data.csv"),
-        "--k", "2", "--epochs", "1", "--n", "16", "--jobs", "8",
-    ]) == 0
-    assert requested == [2]
-
-
 def test_synth_subcommand(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n_botnet": 4, "n_benign": 4, "pool_size": 12,
@@ -543,8 +508,12 @@ def test_json_settings_that_do_not_parse_keep_their_message(tmp_path, capsys):
         ("synth", "--spec", {"n_botnet": "x"}, "n_botnet"),
         ("cv", "--config", {"epochs": "3"}, "epochs"),
         ("cv", "--config", {"seed": True}, "seed"),
+        # an int is taken for a float, but not one past the largest float
+        ("cv", "--config", {"learning_rate": 10**400}, "learning_rate"),
+        ("synth", "--spec", {"noise_rate": 10**400}, "noise_rate"),
     ],
-    ids=["spec-str-for-int", "config-str-for-int", "config-bool-for-int"],
+    ids=["spec-str-for-int", "config-str-for-int", "config-bool-for-int",
+         "config-int-too-large-for-float", "spec-int-too-large-for-float"],
 )
 def test_json_settings_of_the_wrong_type_are_usage_errors(
     tmp_path, capsys, command, flag, settings, key
@@ -560,10 +529,9 @@ def test_json_settings_of_the_wrong_type_are_usage_errors(
     assert "Traceback" not in err
 
 
-def test_jobs_flag_matches_serial(tmp_path, corpus_dir, monkeypatch):
-    # One process trains its folds on two threads when it has two CPUs and
-    # one after another when it has one; --jobs 2 trains them in two
-    # processes.  All three write the same report and traces.
+def test_cv_writes_the_same_bytes_on_two_cpus_and_one(tmp_path, corpus_dir, monkeypatch):
+    # cv trains its folds on two threads when it has two CPUs and one after
+    # another when it has one.  Both write the same report and traces.
     base = [
         "cv", "--manifest", str(corpus_dir / "data.csv"),
         "--k", "2", "--seed", "5", "--epochs", "1", "--n", "16",
@@ -577,12 +545,10 @@ def test_jobs_flag_matches_serial(tmp_path, corpus_dir, monkeypatch):
         return [path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()]
 
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    serial = run("serial")
-    with monkeypatch.context() as patch:
-        patch.setattr(cpus, "usable_cpus", lambda: 1)
-        one_cpu = run("one_cpu")
-    assert len(serial) == 3  # the report and one trace per fold
-    assert serial == one_cpu == run("parallel", "--jobs", "2")
+    two_cpus = run("two_cpus")
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
+    assert len(two_cpus) == 3  # the report and one trace per fold
+    assert two_cpus == run("one_cpu")
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -280,7 +280,7 @@ def test_split_read_equals_the_inline_read(tmp_path, monkeypatch, forks):
         extract_corpus(failing)
     assert str(split.value) == str(inline_failure.value)
     assert len(forks) == 1 and len(sent) == 3
-    pid = os.fork()  # a child forked later, a fold worker say, has no reader
+    pid = os.fork()  # a child that a caller forks later has no reader
     if pid == 0:
         os._exit(0 if dataset._reader is None else 1)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
@@ -370,14 +370,12 @@ def test_an_uncaught_exception_still_escapes(tmp_path, monkeypatch, forks, who):
 
 
 @pytest.mark.parametrize(
-    "setting", ["one cpu", "fold worker", "another thread", "reader busy", "fork fails"])
+    "setting", ["one cpu", "another thread", "reader busy", "fork fails"])
 def test_reads_inline_without_a_spare_cpu_or_a_reader(tmp_path, monkeypatch, forks, setting):
     records = every_kind(tmp_path)
     if setting == "one cpu":
         monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
         corpus = extract_corpus(records)
-    elif setting == "fold worker":  # one of two that share two CPUs
-        corpus = cpus.sharing_cpus(2, extract_corpus, records)
     elif setting == "another thread":
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)

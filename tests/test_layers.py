@@ -313,13 +313,12 @@ def test_an_inference_conv_never_splits(thread_starts, monkeypatch):
     assert len(started) == 1
 
 
-def test_a_process_without_a_spare_cpu_runs_both_halves_itself(monkeypatch):
-    # as each of cross_validate's two fold workers on a two-CPU host does
-    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    here, threads = threading.get_ident(), threading.active_count()
-    got = cpus.sharing_cpus(2, cpus.in_parallel, threading.get_ident, threading.get_ident)
-    assert got == (here, here) and threading.active_count() == threads
-    assert cpus._processes_sharing == 1
+def test_a_process_without_a_spare_cpu_runs_both_halves_itself(thread_starts, monkeypatch):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
+    here = threading.get_ident()
+    assert not cpus.spare_cpu()
+    assert cpus.in_parallel(threading.get_ident, threading.get_ident) == (here, here)
+    assert thread_starts == []
 
 
 def test_in_parallel_takes_the_spare_cpu_for_the_length_of_its_call(thread_starts, monkeypatch):

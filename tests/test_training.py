@@ -33,7 +33,6 @@ from botgrid.training import (
 from botgrid.vocabulary import PermissionVocabulary
 
 from conv_reference import computing_every_output
-from own_session import run_in_own_session
 from traced_memory import peak_bytes_of
 
 
@@ -664,42 +663,6 @@ def test_a_failing_fold_raises_only_once_the_other_worker_stopped(
     # the worker whose fold raised took no other fold; the other took the rest
     assert len(finished) == 2 and len(set(finished)) == 1
     assert cpus.spare_cpu()
-
-
-FOLD_WORKERS_AFTER_HELPER = """
-import sys
-import threading
-import numpy as np
-from botgrid import cpus
-from botgrid.nn import layers
-from botgrid.synth import SynthSpec, generate_synthetic_corpus
-from botgrid.training import TrainConfig, cross_validate
-
-# start a helper even on a one-CPU host, and in each of two fold workers
-cpus.usable_cpus = lambda: 4
-helpers, in_parallel = [], layers.in_parallel
-
-def recording_first_thread(first, second):
-    return in_parallel(lambda: helpers.append(threading.current_thread()) or first(), second)
-
-layers.in_parallel = recording_first_thread
-layers.Conv2D(1, 4, (3, 3)).forward(np.ones((8, 20, 20, 1)), train=True)
-assert helpers and threading.main_thread() not in helpers
-spec = SynthSpec(n_botnet=12, n_benign=12, pool_size=20, noise_rate=0.2, seed=3)
-records = generate_synthetic_corpus(spec, sys.argv[1])
-result = cross_validate(records, TrainConfig(epochs=1, k=2, seed=1, vocab_size=16), jobs=2)
-print(len(result.folds))
-"""
-
-
-def test_fold_workers_fork_after_the_helper_thread_started(tmp_path):
-    # Fold workers forked after a conv ran half of its work on a helper
-    # thread run their own convs to the end.
-    code, out, err = run_in_own_session(
-        FOLD_WORKERS_AFTER_HELPER, str(tmp_path), hang="cross_validate's fold workers hung"
-    )
-    assert code == 0, err
-    assert out.split() == ["2"]
 
 
 @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, 0.0])
