@@ -1,17 +1,19 @@
-"""How many CPUs this process may keep busy, and how a call keeps a second
-one busy.
+"""How many CPUs this process may keep busy, and `in_parallel`, the one
+way the package keeps a second one busy.
 
-A helper thread lives for one `in_parallel` call, so no thread outlives
-the call that started it, and a process may fork between calls.  For the
-length of the call its helper counts as busy, process-wide, so a call
-made inside either half, or by another thread meanwhile, sees one CPU
+An `in_parallel` call's helper thread lives for the call, so no thread
+outlives the call that started it, and a process may fork between calls.
+For the length of the call its helper counts as busy, process-wide, so a
+call made inside a task, or by another thread meanwhile, sees one CPU
 fewer: on two CPUs, a conv inside one of cross_validate's fold threads
-(see training) runs both halves on its own thread.  A call that finds no
-spare CPU, or whose thread cannot be started, runs both halves itself.
+(see training) runs both of its tasks on its own thread.  A call that
+finds no spare CPU, or whose thread cannot be started, runs every task
+itself, in order.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 
@@ -33,42 +35,47 @@ def spare_cpu() -> bool:
     return usable_cpus() > 1 + _helpers
 
 
-def in_parallel(first, second):
-    """(first(), second()), with first run on a helper thread while this
-    thread runs second; numpy's GEMMs and large copies release the GIL, so
-    they overlap.  Both run here when the process has no spare CPU or when
-    no thread can be started.  Returns or raises only once neither is
-    running."""
+def in_parallel(*tasks) -> tuple:
+    """tuple(task() for task in tasks), with this thread and, when the
+    process has a spare CPU, one helper thread each claiming the next task
+    that neither has taken; numpy's GEMMs and large copies release the GIL,
+    so they overlap.  Each result lands in its task's slot, whichever
+    thread ran it.  A thread whose task raises claims no more, and the
+    call returns or raises only once neither thread runs; an exception
+    on this thread wins over the helper's."""
     global _helpers
+    results: list = [None] * len(tasks)
+    claims = itertools.count()  # next() on a count is atomic under the GIL
+    helper_error: list[BaseException] = []
+
+    def work() -> None:
+        for i in itertools.takewhile(lambda i: i < len(tasks), claims):
+            results[i] = tasks[i]()
+
+    def help_out() -> None:
+        try:
+            work()
+        except BaseException as exc:
+            helper_error.append(exc)
+
     with _helpers_lock:
         spare = spare_cpu()
         _helpers += spare
     try:
-        return _on_helper(first, second) if spare else (first(), second())
+        helper = threading.Thread(target=help_out, name="botgrid-helper") if spare else None
+        if helper is not None:
+            try:
+                helper.start()
+            except RuntimeError:  # the process is at its thread or pid limit
+                helper = None
+        try:
+            work()
+        finally:
+            if helper is not None:
+                helper.join()
     finally:
         with _helpers_lock:
             _helpers -= spare
-
-
-def _on_helper(first, second):
-    outcome: list = []
-
-    def run_first() -> None:
-        try:
-            outcome.append((first(), None))
-        except BaseException as exc:
-            outcome.append((None, exc))
-
-    helper = threading.Thread(target=run_first, name="botgrid-helper")
-    try:
-        helper.start()
-    except RuntimeError:  # the process is at its thread or pid limit
-        return first(), second()
-    try:
-        second_result = second()
-    finally:
-        helper.join()
-    first_result, error = outcome[0]
-    if error is not None:
-        raise error
-    return first_result, second_result
+    if helper_error:
+        raise helper_error[0]
+    return tuple(results)

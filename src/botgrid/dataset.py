@@ -6,16 +6,17 @@ be moved as a unit.  Per-record extraction failures are collected, not
 fatal; only a corpus with zero readable samples aborts the run.
 
 Reading is pure Python, so a second thread would not help, but a second
-process does.  When the process has a spare CPU (see cpus), a corpus of
-at least SPLIT_MIN_MANIFESTS manifests and APKs is read in two: a reader
-process reads every second manifest and APK while the caller reads the
-rest and every permission list, and the results are merged back in
-record order.  The reader is forked by the first such corpus, while the
-caller's thread is the process's only one, and serves every later one
-until the process exits; with no reader, the caller reads every record
-itself.  The corpus and its failures are those of reading each record in
-turn, whatever the CPU count, and an exception that escapes reading a
-record escapes here too.
+process does.  When the process has a spare CPU (see cpus) and the
+calling thread is its only one, a corpus of at least SPLIT_MIN_MANIFESTS
+manifests and APKs is read in two: a reader process reads every second
+manifest and APK while the caller reads the rest and every permission
+list, and the results are merged back in record order.  The reader is
+forked by the first such corpus and serves every later one until the
+process exits.  Otherwise, with a thread beside the caller's alive, say,
+the caller reads every record itself, so the reader is forked and used
+only by a one-thread process.  The corpus and its failures are those of
+reading each record in turn, whatever the CPU count, and an exception
+that escapes reading a record escapes here too.
 """
 
 from __future__ import annotations
@@ -115,12 +116,11 @@ def extract_corpus(records: list[ManifestRecord]) -> ExtractedCorpus:
         raise EmptyDataset("dataset manifest lists no samples")
     manifests = [i for i, record in enumerate(records) if record.kind != "permlist"]
     results = None
-    if len(manifests) >= SPLIT_MIN_MANIFESTS and hasattr(os, "fork") and cpus.spare_cpu():
-        if _reader_lock.acquire(blocking=False):  # else another thread is using it
-            try:
-                results = _read_in_two_processes(records, manifests[1::2])
-            finally:
-                _reader_lock.release()
+    if (
+        len(manifests) >= SPLIT_MIN_MANIFESTS and hasattr(os, "fork") and cpus.spare_cpu()
+        and threading.active_count() == 1  # of the threads the threading module knows
+    ):
+        results = _read_in_two_processes(records, manifests[1::2])
     if results is None:
         results = _read_each(records)
     corpus = ExtractedCorpus([], [], [], [])
@@ -159,7 +159,6 @@ class _Reader:
 
 
 _reader: _Reader | None = None
-_reader_lock = threading.Lock()  # held by the one thread using the reader
 
 
 def _read_in_two_processes(
@@ -208,12 +207,8 @@ def _read_in_two_processes(
 
 
 def _start_reader() -> _Reader | None:
-    """Fork the reader, or None when this thread is not the process's only
-    one (of those the threading module knows) or the connection or the fork
-    fail."""
+    """Fork the reader, or None when the connection or the fork fail."""
     global _reader
-    if threading.active_count() != 1:
-        return None
     conns: list[Connection] = []
     try:
         conns += Pipe()  # [0] ours, [1] the reader's
@@ -266,10 +261,10 @@ def _forget_reader() -> None:
     Safety code: the package forks nothing but the reader, but a caller may
     fork (multiprocessing's `fork` start method, say), and the child must
     not talk on the parent's reader pipe."""
-    global _reader, _reader_lock
+    global _reader
     if _reader is not None:
         _reader.conn.close()
-    _reader, _reader_lock = None, threading.Lock()
+    _reader = None
 
 
 if hasattr(os, "register_at_fork"):

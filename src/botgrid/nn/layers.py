@@ -20,22 +20,23 @@ the dtype of their inputs.  Every layer derives from `_Layer`, whose
 docstring states the contract of the backward cache, and the two weighted
 layers from `_Weighted`, which draws their seeded weights.
 
-In training, a conv runs its independent GEMMs on two cores: the
-calling thread and a helper thread that lives for the call (see cpus).
-A training forward splits a large enough batch into two halves of whole
-images, and backward makes the weight gradient beside the input
-gradient.  Every forward and input-gradient GEMM keeps the rows and
-operands it would have without the helper.  The weight gradient is a
-sum, in tile order over the whole batch, of one GEMM per tile: it does
-not give the bits of one whole-batch GEMM, but it is the same sum
+In training, a conv hands its independent GEMMs to `in_parallel` as two
+tasks, which runs them on two cores when the process has a spare one
+(see cpus).  A training forward splits a large enough batch into two
+halves of whole images, and backward makes the weight gradient beside
+the input gradient.  Every forward and input-gradient GEMM keeps the
+rows and operands it would have without the split.  The weight gradient
+is a sum, in tile order over the whole batch, of one GEMM per tile: it
+does not give the bits of one whole-batch GEMM, but it is the same sum
 whatever the split.  So results do not depend on scheduling or on the
 CPU count.  With no spare CPU (in one of cross_validate's fold threads
-on a two-CPU host, say), a conv runs its whole forward batch and both
-backward GEMMs on its own thread.  An inference forward never splits:
-inference uses the second core by forwarding whole chunks on two threads
-(see training), so a conv inside a chunk runs its whole batch on its
-thread.  A dense layer runs its GEMM in zero-padded tiles of a fixed
-row count, so a row gets the same bits whatever else its batch holds.
+on a two-CPU host, say), a conv runs both halves of its forward and both
+backward GEMMs one after the other on its own thread.  An inference
+forward never splits: inference uses the second core by forwarding whole
+chunks on two threads (see training), so a conv inside a chunk runs its
+whole batch on its thread.  A dense layer runs its GEMM in zero-padded
+tiles of a fixed row count, so a row gets the same bits whatever else
+its batch holds.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import math
 
 import numpy as np
 
-from ..cpus import in_parallel, spare_cpu
+from ..cpus import in_parallel
 from ..errors import ShapeMismatch
 
 
@@ -212,7 +213,7 @@ class Conv2D(_Weighted):
                     np.maximum(y, 0, out=y)
 
         half = n // 2
-        if train and half * eh * ew >= SPLIT_MIN_ROWS and spare_cpu():
+        if train and half * eh * ew >= SPLIT_MIN_ROWS:
             in_parallel(lambda: images(half, n), lambda: images(0, half))
         else:
             images(0, n)

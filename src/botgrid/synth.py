@@ -43,6 +43,8 @@ class SynthSpec:
             )
         if not (0.0 <= self.signature_prob <= 1.0 and 0.0 <= self.noise_rate <= 1.0):
             raise InvalidSpec("signature_prob and noise_rate must lie in [0, 1]")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
 
 
 def pool_permission(i: int) -> str:

@@ -10,19 +10,18 @@ split so the held-out fold cannot influence the image axes; set
 vocab_from_all to rank permissions over the whole corpus instead.
 
 Inference forwards each distinct image once, in even chunks of at most
-EVAL_BATCH rows.  The calling thread and one helper thread (see cpus)
-each take the next chunk nobody has taken until none is left; an
-inference forward never splits a conv, so each chunk runs on one thread.
-A forward gives each row the same bits whatever else its batch holds, in
-either dtype, so batch-1 predict and evaluate agree on every sample, and
-which thread forwards a chunk changes no bits either.
+EVAL_BATCH rows, one in_parallel task a chunk (see cpus): the calling
+thread and a helper thread each take the next chunk neither has taken.
+An inference forward never splits a conv, so each chunk runs on one
+thread.  A forward gives each row the same bits whatever else its batch
+holds, in either dtype, so batch-1 predict and evaluate agree on every
+sample, and which thread forwards a chunk changes no bits either.
 
-cross_validate trains its folds the same way: the calling thread and one
-helper each take the next fold and write its result into that fold's
-slot.  While they run, the helper holds the process's spare CPU, so the
-train steps and evaluate inside a fold start no thread of their own; a
-fold's result does not depend on which thread ran it, or on whether a
-helper ran at all.
+cross_validate trains its folds the same way, one task a fold.  While
+they run, the helper holds the process's spare CPU, so a conv inside a
+fold runs both halves of a split on its fold's thread, and evaluate
+inside a fold starts no thread; a fold's result does not depend on which
+thread ran it, or on whether a helper ran at all.
 
 Training, likewise, forwards and backpropagates each distinct (image,
 label) row of a batch once, with the summed loss gradient of its copies;
@@ -41,7 +40,6 @@ GEMM in the last bits.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -96,6 +94,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if min(self.batch_size, self.vocab_size) < 1:
             raise ValueError("batch_size and vocab_size must be >= 1")
         if self.k < 2:
@@ -221,26 +221,12 @@ def _distinct_rows(tensors: np.ndarray, labels: np.ndarray | None = None):
     return first, np.searchsorted(first, earliest)
 
 
-def _map_on_two_threads(fn, count: int) -> list:
-    """[fn(i) for i in range(count)], with the calling thread and one helper
-    thread (see cpus) each taking the next i that neither has taken; each
-    result lands in its own slot, whichever thread computed it."""
-    results: list = [None] * count
-    claims = itertools.count()  # next() on a count is atomic under the GIL
-
-    def work() -> None:
-        for i in itertools.takewhile(lambda i: i < count, claims):
-            results[i] = fn(i)
-
-    in_parallel(work, work)
-    return results
-
-
 def _predict_distinct(model: CnnModel, tensors: np.ndarray) -> np.ndarray:
     """Class per sample, each distinct image forwarded once."""
     first, inverse = _distinct_rows(tensors)
     chunks = np.array_split(first, -(-len(first) // EVAL_BATCH))
-    predicted = _map_on_two_threads(lambda i: model.predict(tensors[chunks[i]]), len(chunks))
+    # each task gathers its own chunk, so only the chunks in flight are copied
+    predicted = in_parallel(*(lambda rows=rows: model.predict(tensors[rows]) for rows in chunks))
     return np.concatenate(predicted)[inverse]
 
 
@@ -327,7 +313,7 @@ class CvResult:
 METRIC_NAMES = ("accuracy", "precision", "recall", "fpr", "f_measure")
 
 
-def summarize_folds(folds: list[FoldResult]) -> dict[str, MetricSummary]:
+def summarize_folds(folds: tuple[FoldResult, ...]) -> dict[str, MetricSummary]:
     summary = {}
     for name in METRIC_NAMES:
         values = [
@@ -393,13 +379,14 @@ def cross_validate(
     if config.vocab_from_all:
         shared_vocab = build_fold_vocabulary(corpus.perm_sets, corpus.labels, config.vocab_size)
 
-    run = partial(_run_fold, corpus=corpus, plan=plan, config=config, shared_vocab=shared_vocab)
-    fold_results = _map_on_two_threads(run, config.k)
+    fold_results = in_parallel(*(
+        partial(_run_fold, fold, corpus, plan, config, shared_vocab) for fold in range(config.k)
+    ))
 
     class_counts = {label: corpus.labels.count(label) for label in LABELS}
     return CvResult(
         config=config,
-        folds=tuple(fold_results),
+        folds=fold_results,
         summary=summarize_folds(fold_results),
         failures=tuple(corpus.failures),
         class_counts=class_counts,

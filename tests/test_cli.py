@@ -309,6 +309,16 @@ def test_synth_subcommand(tmp_path):
     assert len(list(out.glob("*.txt"))) == 8
 
 
+@pytest.mark.parametrize("command", ["cv", "synth"])
+def test_a_negative_seed_exits_usage_naming_the_seed(tmp_path, corpus_dir, capsys, command):
+    # Rejected before any corpus is read or written, not deep inside numpy.
+    target = (["--manifest", str(corpus_dir / "data.csv")] if command == "cv"
+              else ["--out", str(tmp_path / "c")])
+    assert main([command, "--seed", "-1", *target]) == 1
+    assert capsys.readouterr().err == "botgrid: error: seed must be >= 0\n"
+    assert not (tmp_path / "c").exists()
+
+
 def test_exit_codes(tmp_path, corpus_dir, monkeypatch, capsys):
     # usage: unknown flag
     with pytest.raises(SystemExit) as exc:

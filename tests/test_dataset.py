@@ -369,8 +369,7 @@ def test_an_uncaught_exception_still_escapes(tmp_path, monkeypatch, forks, who):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize(
-    "setting", ["one cpu", "another thread", "reader busy", "fork fails"])
+@pytest.mark.parametrize("setting", ["one cpu", "another thread", "fork fails"])
 def test_reads_inline_without_a_spare_cpu_or_a_reader(tmp_path, monkeypatch, forks, setting):
     records = every_kind(tmp_path)
     if setting == "one cpu":
@@ -386,9 +385,6 @@ def test_reads_inline_without_a_spare_cpu_or_a_reader(tmp_path, monkeypatch, for
             stop.set()
             other.join(timeout=10)
         assert not other.is_alive()
-    elif setting == "reader busy":  # another thread is using it
-        with dataset._reader_lock:
-            corpus = extract_corpus(records)
     else:
         def failing_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -401,6 +397,31 @@ def test_reads_inline_without_a_spare_cpu_or_a_reader(tmp_path, monkeypatch, for
     assert forks == [] and dataset._reader is None
     monkeypatch.setattr(dataset, "SPLIT_MIN_MANIFESTS", sys.maxsize)
     assert corpus == extract_corpus(records)
+
+
+def test_a_reader_forked_earlier_is_unused_while_another_thread_lives(
+    tmp_path, monkeypatch, forks
+):
+    # The reader serves a one-thread process only: with a second thread
+    # alive, the caller reads every record itself and sends the reader
+    # nothing, and the reader stays for a later call.
+    records = every_kind(tmp_path)
+    inline = extract_corpus(records)
+    reader = dataset._reader
+    assert len(forks) == 1 and reader is not None
+    sent, send = [], Connection.send
+    monkeypatch.setattr(Connection, "send", lambda conn, obj: sent.append(obj) or send(conn, obj))
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        corpus = extract_corpus(records)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert sent == [] and corpus == inline
+    assert len(forks) == 1 and dataset._reader is reader
 
 
 SPLIT_AFTER_HELPER = """
@@ -416,17 +437,21 @@ cpus.usable_cpus = lambda: 2  # start a helper even on a one-CPU host
 dataset.SPLIT_MIN_MANIFESTS = 0
 forked, fork = [], os.fork
 os.fork = lambda: forked.append(1) or fork()
-helpers, in_parallel = [], layers.in_parallel
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: started.append(thread) or start(thread)
+ran_on, in_parallel = [], layers.in_parallel
 
-def recording_first_thread(first, second):
-    return in_parallel(lambda: helpers.append(threading.current_thread()) or first(), second)
+def recording_threads(*tasks):
+    return in_parallel(*(
+        lambda task=task: ran_on.append(threading.current_thread()) or task() for task in tasks))
 
-layers.in_parallel = recording_first_thread
+layers.in_parallel = recording_threads
 conv = layers.Conv2D(1, 4, (3, 3))
 x = np.ones((8, 20, 20, 1))
 want = conv.forward(x, train=True)
-assert helpers and threading.main_thread() not in helpers
-assert threading.active_count() == 1
+assert len(started) == 1 and len(ran_on) == 2
+assert set(ran_on) <= {threading.main_thread(), started[0]}
+assert not started[0].is_alive() and threading.active_count() == 1
 records = generate_synthetic_corpus(SynthSpec(n_botnet=20, n_benign=20, seed=3), sys.argv[1])
 for i, record in enumerate(records[:20]):  # half of them as manifests
     with open(record.path) as listed, open(record.path + ".xml", "w") as manifest:
@@ -649,6 +674,8 @@ def test_synth_rejects_bad_spec():
         SynthSpec(noise_rate=1.5)
     with pytest.raises(InvalidSpec):
         SynthSpec(n_botnet=0)
+    with pytest.raises(InvalidSpec, match="^seed must be >= 0$"):
+        SynthSpec(seed=-1)
 
 
 def test_synth_manifest_loads_back(tmp_path):

@@ -1,5 +1,6 @@
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -322,12 +323,15 @@ def test_a_process_without_a_spare_cpu_runs_both_halves_itself(thread_starts, mo
 
 
 def test_in_parallel_takes_the_spare_cpu_for_the_length_of_its_call(thread_starts, monkeypatch):
-    # On two CPUs a call made inside either half, as a conv inside one of
-    # cross_validate's fold threads makes it, runs both of its halves on
-    # the thread that made it.
+    # On two CPUs a call made inside either task, as a conv inside one of
+    # cross_validate's fold threads makes it, runs both of its tasks on
+    # the thread that made it.  The outer tasks meet at a barrier, so each
+    # runs on its own thread.
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    both_running = threading.Barrier(2, timeout=30)
 
     def nested():
+        both_running.wait()
         return cpus.spare_cpu(), cpus.in_parallel(threading.get_ident, threading.get_ident)
 
     (spare_first, idents_first), (spare_second, idents_second) = cpus.in_parallel(nested, nested)
@@ -341,15 +345,15 @@ class Boom(Exception):
     pass
 
 
-def test_in_parallel_leaves_no_thread_behind(monkeypatch):
-    # With a spare CPU, first runs on a helper thread that is gone by the
-    # time in_parallel returns or raises, and an exception in either call
-    # escapes only once the other has finished.
+def test_in_parallel_leaves_no_thread_behind(thread_starts, monkeypatch):
+    # With a spare CPU, each call starts one helper thread that is gone by
+    # the time in_parallel returns or raises, and an exception in either
+    # task escapes only once the other has finished.
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    threads, helpers, finished = threading.active_count(), [], []
+    threads, ran_on, finished = threading.active_count(), [], []
 
     def first(error=None):
-        helpers.append(threading.current_thread())
+        ran_on.append(threading.current_thread())
         if error is None:
             time.sleep(0.05)  # still running when the caller's call raises
             finished.append("first")
@@ -357,6 +361,7 @@ def test_in_parallel_leaves_no_thread_behind(monkeypatch):
         raise error
 
     def second(error=None):
+        ran_on.append(threading.current_thread())
         if error is None:
             time.sleep(0.05)  # still running when the helper's call raises
             finished.append("second")
@@ -373,9 +378,28 @@ def test_in_parallel_leaves_no_thread_behind(monkeypatch):
     with pytest.raises(Boom, match="in second"):
         cpus.in_parallel(first, lambda: second(Boom("in second")))
     assert finished == ["first"]
-    assert len(helpers) == 3 and threading.current_thread() not in helpers
-    assert not any(helper.is_alive() for helper in helpers)
+    assert len(thread_starts) == 3 and len(ran_on) == 6
+    assert set(ran_on) <= {threading.current_thread(), *thread_starts}
+    assert not any(helper.is_alive() for helper in thread_starts)
     assert threading.active_count() == threads
+
+
+def test_in_parallel_returns_each_result_in_its_tasks_slot(thread_starts, monkeypatch):
+    # Seven tasks, claimed in turn by this thread and one helper: each runs
+    # once and its result comes back at its position.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    threads, ran = threading.active_count(), []
+
+    def task(i):
+        ran.append((i, threading.current_thread()))
+        time.sleep(0.01)
+        return i * i
+
+    assert cpus.in_parallel(*(partial(task, i) for i in range(7))) == tuple(i * i for i in range(7))
+    assert sorted(i for i, _ in ran) == list(range(7))
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert {thread for _, thread in ran} <= {threading.current_thread(), thread_starts[0]}
+    assert threading.active_count() == threads and cpus.spare_cpu()
 
 
 def test_in_parallel_runs_both_halves_here_when_no_thread_can_start(monkeypatch):
@@ -399,26 +423,28 @@ def test_in_parallel_runs_both_halves_here_when_no_thread_can_start(monkeypatch)
 
 
 @pytest.mark.parametrize("shape", [(20, 20, 8, 16, (5, 5), None), (21, 21, 4, 8, (3, 3), (10, 9))])
-def test_a_conv_leaves_no_helper_thread_behind(shape, monkeypatch):
+def test_a_conv_leaves_no_helper_thread_behind(shape, thread_starts, monkeypatch):
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    helpers = []
+    ran_on = []
 
-    def recording_first_thread(first, second):
-        def first_recorded():
-            helpers.append(threading.current_thread())
-            return first()
-        return cpus.in_parallel(first_recorded, second)
+    def recording_threads(*tasks):
+        def recorded(task):
+            ran_on.append(threading.current_thread())
+            return task()
+        return cpus.in_parallel(*(partial(recorded, task) for task in tasks))
 
-    monkeypatch.setattr(layers, "in_parallel", recording_first_thread)
+    monkeypatch.setattr(layers, "in_parallel", recording_threads)
     h, w, cin, cout, kernel, extent = shape
     rng = np.random.default_rng(23)
     layer = Conv2D(cin, cout, kernel, rng=rng, extent=extent)
     threads = threading.active_count()
     y = layer.forward(rng.standard_normal((32, h, w, cin)), train=True)
-    assert len(helpers) == 1 and threading.active_count() == threads
+    assert len(thread_starts) == 1 and len(ran_on) == 2
+    assert threading.active_count() == threads
     layer.backward(rng.standard_normal(y.shape))
-    assert len(helpers) == 2 and threading.current_thread() not in helpers
-    assert not any(helper.is_alive() for helper in helpers)
+    assert len(thread_starts) == 2 and len(ran_on) == 4
+    assert set(ran_on) <= {threading.current_thread(), *thread_starts}
+    assert not any(helper.is_alive() for helper in thread_starts)
     assert threading.active_count() == threads
 
 
@@ -688,7 +714,7 @@ def test_relu_idempotent_and_non_negative():
 
 # --- every layer ---
 
-@pytest.mark.parametrize(
+every_layer = pytest.mark.parametrize(
     "make, x_shape",
     [
         (lambda: Conv2D(2, 3, (3, 3), dtype=np.float64), (2, 5, 5, 2)),
@@ -698,6 +724,9 @@ def test_relu_idempotent_and_non_negative():
     ],
     ids=["Conv2D", "MaxPool2D", "Dense", "Softmax"],
 )
+
+
+@every_layer
 def test_backward_before_a_training_forward_raises(make, x_shape):
     layer = make()
     x = np.random.default_rng(12).standard_normal(x_shape)
@@ -708,3 +737,13 @@ def test_backward_before_a_training_forward_raises(make, x_shape):
     fresh.forward(x)  # inference records no cache
     with pytest.raises(RuntimeError, match=r"backward before forward\(train=True\)"):
         fresh.backward(grad)
+
+
+@every_layer
+def test_backward_rejects_an_upstream_gradient_of_the_wrong_shape(make, x_shape):
+    # A batch-1 gradient would broadcast over the batch in MaxPool2D, Dense
+    # and Softmax without an error of its own.
+    layer = make()
+    y = layer.forward(np.random.default_rng(13).standard_normal(x_shape), train=True)
+    with pytest.raises(ShapeMismatch, match=r"^grad shape \(1, .* != \(2, "):
+        layer.backward(np.ones_like(y[:1]))

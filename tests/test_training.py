@@ -394,7 +394,7 @@ def test_chunks_on_two_threads_give_the_bits_of_one_chunk_after_another(
     got = training._predict_distinct(model, images)
     monkeypatch.undo()
     # the same chunks one after another, every in_parallel run inline
-    in_line = lambda first, second: (first(), second())  # noqa: E731
+    in_line = lambda *tasks: tuple(task() for task in tasks)  # noqa: E731
     monkeypatch.setattr(training, "in_parallel", in_line)
     monkeypatch.setattr(layers, "in_parallel", in_line)
     chunks = np.array_split(np.arange(count), -(-count // training.EVAL_BATCH))
@@ -675,12 +675,13 @@ def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(le
     "fields, message",
     [
         (dict(epochs=-1), "epochs must be >= 0"),
+        (dict(seed=-1), "seed must be >= 0"),
         (dict(batch_size=0), "batch_size and vocab_size must be >= 1"),
         (dict(vocab_size=0), "batch_size and vocab_size must be >= 1"),
         (dict(val_fraction=1.0), r"val_fraction must lie in \[0, 1\)"),
         (dict(dtype="float16"), "dtype must be float32 or float64, got 'float16'"),
     ],
-    ids=["epochs", "batch-size", "vocab-size", "val-fraction", "dtype"],
+    ids=["epochs", "seed", "batch-size", "vocab-size", "val-fraction", "dtype"],
 )
 def test_train_config_rejects_an_out_of_range_field(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
