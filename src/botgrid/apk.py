@@ -67,15 +67,14 @@ class ApkArchive:
         self.source = source
         self._entries = self._read_central_directory()
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def read(self, name: str) -> bytes:
-        """Decode one entry's payload (stored or DEFLATE)."""
+        """Decode one entry's payload (stored or DEFLATE).  A name the
+        archive lacks raises NotAZip naming the archive and the entry, the
+        error of an APK with no AndroidManifest.xml."""
         try:
             entry = self._entries[name]
         except KeyError:
-            raise KeyError(f"no entry {name!r} in {self.source}") from None
+            raise NotAZip(f"{self.source}: archive has no {name} entry") from None
         return self._read_entry(entry)
 
     def _read_central_directory(self) -> dict[str, ZipEntry]:

@@ -168,6 +168,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_vocab(args) -> int:
+    if args.n < 1:  # before the corpus is read
+        raise ValueError(f"vocabulary size must be >= 1, got {args.n}")
     records = load_dataset_manifest(args.manifest)
     corpus = extract_corpus(records)
     vocab = build_fold_vocabulary(corpus.perm_sets, corpus.labels, args.n)

@@ -6,9 +6,10 @@ outlives the call that started it, and a process may fork between calls.
 For the length of the call its helper counts as busy, process-wide, so a
 call made inside a task, or by another thread meanwhile, sees one CPU
 fewer: on two CPUs, a conv inside one of cross_validate's fold threads
-(see training) runs both of its tasks on its own thread.  A call that
-finds no spare CPU, or whose thread cannot be started, runs every task
-itself, in order.
+(see training) runs both of its tasks on its own thread.  A call with
+one task, or that finds no spare CPU, or whose thread cannot be started,
+runs every task itself, in order.  A task that raises, or a Ctrl-C,
+ends the call once the task the other thread is running returns.
 """
 
 from __future__ import annotations
@@ -36,46 +37,43 @@ def spare_cpu() -> bool:
 
 
 def in_parallel(*tasks) -> tuple:
-    """tuple(task() for task in tasks), with this thread and, when the
-    process has a spare CPU, one helper thread each claiming the next task
-    that neither has taken; numpy's GEMMs and large copies release the GIL,
-    so they overlap.  Each result lands in its task's slot, whichever
-    thread ran it.  A thread whose task raises claims no more, and the
-    call returns or raises only once neither thread runs; an exception
-    on this thread wins over the helper's."""
+    """tuple(task() for task in tasks), with this thread and, when there
+    are two tasks or more and the process has a spare CPU, one helper
+    thread each claiming the next task that neither has taken; numpy's
+    GEMMs and large copies release the GIL, so they overlap.  Each result
+    lands in its task's slot, whichever thread ran it.  Once a task raises
+    (or an interrupt lands on this thread), neither thread claims another
+    task: only the task the other thread is running finishes.  The call
+    returns or raises only once neither thread runs, and an exception on
+    this thread wins over the helper's."""
     global _helpers
     results: list = [None] * len(tasks)
     claims = itertools.count()  # next() on a count is atomic under the GIL
-    helper_error: list[BaseException] = []
+    raised: dict[int, BaseException] = {}  # by slot: 0 is this thread, 1 the helper
 
-    def work() -> None:
-        for i in itertools.takewhile(lambda i: i < len(tasks), claims):
-            results[i] = tasks[i]()
-
-    def help_out() -> None:
+    def work(slot: int) -> None:
         try:
-            work()
-        except BaseException as exc:
-            helper_error.append(exc)
+            for i in itertools.takewhile(lambda i: i < len(tasks) and not raised, claims):
+                results[i] = tasks[i]()
+        except BaseException as exc:  # raised again below, once neither thread runs
+            raised[slot] = exc
 
     with _helpers_lock:
-        spare = spare_cpu()
+        spare = len(tasks) > 1 and spare_cpu()
         _helpers += spare
     try:
-        helper = threading.Thread(target=help_out, name="botgrid-helper") if spare else None
+        helper = threading.Thread(target=work, args=(1,), name="botgrid-helper") if spare else None
         if helper is not None:
             try:
                 helper.start()
             except RuntimeError:  # the process is at its thread or pid limit
                 helper = None
-        try:
-            work()
-        finally:
-            if helper is not None:
-                helper.join()
+        work(0)
+        if helper is not None:
+            helper.join()
     finally:
         with _helpers_lock:
             _helpers -= spare
-    if helper_error:
-        raise helper_error[0]
+    if raised:
+        raise raised[min(raised)]
     return tuple(results)

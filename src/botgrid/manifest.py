@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import axml
 from .apk import MANIFEST_ENTRY, open_apk
-from .errors import MalformedXml, NotAZip, NotUtf8
+from .errors import MalformedXml, NotUtf8
 
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
 PERMISSION_ELEMENTS = ("uses-permission", "uses-permission-sdk-23")
@@ -109,10 +109,7 @@ def read_permissions(path, kind: str | None = None) -> PermissionSet:
     if kind is None:
         kind = sniff_kind(path)
     if kind == "apk":
-        archive = open_apk(path)
-        if MANIFEST_ENTRY not in archive:
-            raise NotAZip(f"{path}: archive has no {MANIFEST_ENTRY} entry")
-        data = archive.read(MANIFEST_ENTRY)
+        data = open_apk(path).read(MANIFEST_ENTRY)
     elif kind == "manifest":
         with open(path, "rb") as fh:
             data = fh.read()

@@ -18,7 +18,10 @@ arXiv 1604.06174).  Max pooling routes each window's gradient to
 the first row-major position holding its maximum.  All layers preserve
 the dtype of their inputs.  Every layer derives from `_Layer`, whose
 docstring states the contract of the backward cache, and the two weighted
-layers from `_Weighted`, which draws their seeded weights.
+layers from `_Weighted`, which draws their seeded weights.  A constructor
+takes its kernel, stride, channel and feature counts as given: `CnnModel`
+checks them with `LayerSpec` and `_layer_shapes` (see nn.model) before it
+builds any layer, and forward and backward check the arrays they get.
 
 In training, a conv hands its independent GEMMs to `in_parallel` as two
 tasks, which runs them on two cores when the process has a spare one
@@ -171,10 +174,6 @@ class Conv2D(_Weighted):
         extent: tuple[int, int] | None = None,
     ):
         kh, kw = kernel
-        if kh < 1 or kw < 1 or stride[0] < 1 or stride[1] < 1:
-            raise ShapeMismatch(f"invalid kernel {kernel} / stride {stride}")
-        if in_channels < 1 or out_channels < 1:
-            raise ShapeMismatch(f"invalid channels {in_channels} -> {out_channels}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = (kh, kw)
@@ -278,8 +277,6 @@ class MaxPool2D(_Layer):
     rows/columns that do not fill a window are dropped (floor semantics)."""
 
     def __init__(self, kernel: tuple[int, int] = (2, 2)):
-        if kernel[0] < 1 or kernel[1] < 1:
-            raise ShapeMismatch(f"invalid pooling kernel {kernel}")
         self.kernel = tuple(kernel)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -336,8 +333,6 @@ class Dense(_Weighted):
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
-        if in_features < 1 or out_features < 1:
-            raise ShapeMismatch(f"invalid features {in_features} -> {out_features}")
         self.in_features = in_features
         self.out_features = out_features
         super().__init__((in_features, out_features), relu, rng, dtype)

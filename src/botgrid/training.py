@@ -21,7 +21,10 @@ cross_validate trains its folds the same way, one task a fold.  While
 they run, the helper holds the process's spare CPU, so a conv inside a
 fold runs both halves of a split on its fold's thread, and evaluate
 inside a fold starts no thread; a fold's result does not depend on which
-thread ran it, or on whether a helper ran at all.
+thread ran it, or on whether a helper ran at all.  A fold or chunk that
+raises (a fold whose loss diverges, say), or a Ctrl-C, starts no further
+fold or chunk: the call raises once the one the other thread is running
+returns.
 
 Training, likewise, forwards and backpropagates each distinct (image,
 label) row of a batch once, with the summed loss gradient of its copies;

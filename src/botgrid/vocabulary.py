@@ -9,7 +9,6 @@ format that `manifest.read_names` and `manifest.write_names` own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DuplicateEntry, EmptyFile
 from .manifest import read_names, read_text, write_names
@@ -28,15 +27,8 @@ class PermissionVocabulary:
                 raise DuplicateEntry(f"duplicated vocabulary entry {name!r}")
             seen.add(name)
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.permissions)}
-
     def __len__(self) -> int:
         return len(self.permissions)
-
-    def __contains__(self, permission: str) -> bool:
-        return permission in self.index
 
 
 def save_vocabulary(vocab: PermissionVocabulary, path) -> None:

@@ -31,3 +31,17 @@ def thread_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return started
+
+
+@pytest.fixture
+def helper_joined(monkeypatch) -> threading.Event:
+    """Set when a thread first joins another.  in_parallel joins its helper
+    only once the calling thread has stopped claiming tasks."""
+    joined, join = threading.Event(), threading.Thread.join
+
+    def recording_join(thread, timeout=None):
+        joined.set()
+        return join(thread, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", recording_join)
+    return joined

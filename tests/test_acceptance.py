@@ -255,7 +255,7 @@ def test_criterion_4_encoder_properties(verdict):
         px = image(encode(PermissionSet(perms), vocab))
 
         assert np.array_equal(px, px.T)
-        k = sum(1 for p in perms if p in vocab)
+        k = sum(1 for p in perms if p in vocab.permissions)
         assert np.count_nonzero(px == 0) == k * k
         present = [p in perms for p in vocab.permissions]
         for i in range(n):

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 import zipfile
 
@@ -14,6 +15,7 @@ from botgrid.errors import (
     TruncatedArchive,
     UnsupportedCompression,
 )
+from botgrid.manifest import read_permissions
 
 from traced_memory import peak_bytes_of
 from zip_writer import build_zip
@@ -24,9 +26,9 @@ def test_single_stored_entry(tmp_path):
     path = tmp_path / "one.apk"
     path.write_bytes(blob)
     archive = open_apk(path)
-    assert "AndroidManifest.xml" in archive
-    assert "classes.dex" not in archive
     assert archive.read("AndroidManifest.xml") == b"<manifest/>"
+    with pytest.raises(NotAZip):
+        archive.read("classes.dex")
 
 
 def test_empty_file_is_not_a_zip(tmp_path):
@@ -60,7 +62,6 @@ def test_reads_stdlib_zipfile_output():
         zf.writestr("AndroidManifest.xml", b"\x03\x00\x08\x00payload")
         zf.writestr("classes.dex", b"dex\n035")
     archive = ApkArchive(buf.getvalue())
-    assert "AndroidManifest.xml" in archive and "classes.dex" in archive
     assert archive.read("AndroidManifest.xml") == b"\x03\x00\x08\x00payload"
     assert archive.read("classes.dex") == b"dex\n035"
 
@@ -93,16 +94,20 @@ def test_truncated_central_directory():
         ApkArchive(bytes(patched))
 
 
-def test_missing_entry_raises_keyerror():
+def test_missing_entry_raises_not_a_zip(tmp_path):
     archive = ApkArchive(build_zip([("AndroidManifest.xml", b"m", 0)]))
-    with pytest.raises(KeyError):
+    with pytest.raises(NotAZip, match="^<memory>: archive has no nope.txt entry$"):
         archive.read("nope.txt")
+    path = tmp_path / "bare.apk"
+    path.write_bytes(build_zip([("classes.dex", b"dex\n035", 0)]))
+    message = f"{path}: archive has no AndroidManifest.xml entry"
+    with pytest.raises(NotAZip, match=f"^{re.escape(message)}$"):
+        read_permissions(path, "apk")
 
 
 def test_duplicate_entry_last_wins():
     blob = build_zip([("a.txt", b"first", 0), ("a.txt", b"second", 0)])
     archive = ApkArchive(blob)
-    assert "a.txt" in archive
     assert archive.read("a.txt") == b"second"
 
 

@@ -182,6 +182,17 @@ def test_train_then_predict_matches_library(tmp_path, corpus_dir):
     assert abs(float(prob) - want_prob) < 1e-6
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_vocab_rejects_its_size_before_reading_the_corpus(tmp_path, capsys, n):
+    # The one sample cannot be read, so reading the corpus would fail first.
+    manifest = tmp_path / "data.csv"
+    manifest.write_text(f"path,label,kind\n{tmp_path / 'missing.txt'},benign,permlist\n")
+    out = tmp_path / "vocab.txt"
+    assert main(["vocab", "--manifest", str(manifest), "--n", str(n), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"botgrid: error: vocabulary size must be >= 1, got {n}\n"
+    assert not out.exists()
+
+
 def test_train_with_a_given_vocabulary(tmp_path, corpus_dir):
     # The corpus's 17 top permissions in reverse rank order: a rebuilt
     # vocabulary would differ in order and, at the default --n, in size.

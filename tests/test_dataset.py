@@ -674,6 +674,8 @@ def test_synth_rejects_bad_spec():
         SynthSpec(noise_rate=1.5)
     with pytest.raises(InvalidSpec):
         SynthSpec(n_botnet=0)
+    with pytest.raises(InvalidSpec, match="^signature sizes must be >= 1$"):
+        SynthSpec(benign_signature_size=0)
     with pytest.raises(InvalidSpec, match="^seed must be >= 0$"):
         SynthSpec(seed=-1)
 

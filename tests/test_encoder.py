@@ -70,7 +70,7 @@ def test_symmetry_and_zero_count(perms, n):
     vocab = PermissionVocabulary(tuple(f"p{i}" for i in range(n)))
     px = image(encode(PermissionSet(perms), vocab))
     assert np.array_equal(px, px.T)
-    k = len([p for p in perms if p in vocab])
+    k = len([p for p in perms if p in vocab.permissions])
     assert np.count_nonzero(px == 0) == k * k
     # off-diagonal black implies both diagonal cells black
     for i in range(n):
@@ -86,7 +86,7 @@ def test_depends_only_on_vocab_intersection(perms):
     without = PermissionSet(perms)
     assert np.array_equal(
         encode(with_noise, vocab),
-        encode(PermissionSet(frozenset(p for p in with_noise.permissions if p in vocab)), vocab),
+        encode(PermissionSet(frozenset(p for p in with_noise.permissions if p in vocab.permissions)), vocab),
     )
     # encode_corpus tallies what the presence vector leaves out
     _, oov = encode_corpus([without, with_noise], vocab)

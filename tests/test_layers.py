@@ -347,41 +347,95 @@ class Boom(Exception):
 
 def test_in_parallel_leaves_no_thread_behind(thread_starts, monkeypatch):
     # With a spare CPU, each call starts one helper thread that is gone by
-    # the time in_parallel returns or raises, and an exception in either
-    # task escapes only once the other has finished.
+    # the time in_parallel returns or raises.  The two tasks meet at a
+    # barrier, so each runs on its own thread, and an exception in either
+    # escapes only once the other has finished.
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     threads, ran_on, finished = threading.active_count(), [], []
+    both_running = threading.Barrier(2, timeout=30)
 
-    def first(error=None):
+    def task(name, error=None):
         ran_on.append(threading.current_thread())
-        if error is None:
-            time.sleep(0.05)  # still running when the caller's call raises
-            finished.append("first")
-            return 1
-        raise error
+        both_running.wait()
+        if error is not None:
+            raise error
+        time.sleep(0.05)  # still running when the other task raises
+        finished.append(name)
+        return name
 
-    def second(error=None):
-        ran_on.append(threading.current_thread())
-        if error is None:
-            time.sleep(0.05)  # still running when the helper's call raises
-            finished.append("second")
-            return 2
-        raise error
-
-    assert cpus.in_parallel(first, second) == (1, 2)
+    assert cpus.in_parallel(partial(task, "first"), partial(task, "second")) == ("first", "second")
     assert sorted(finished) == ["first", "second"]
     finished.clear()
     with pytest.raises(Boom, match="in first"):
-        cpus.in_parallel(lambda: first(Boom("in first")), second)
+        cpus.in_parallel(partial(task, "first", Boom("in first")), partial(task, "second"))
     assert finished == ["second"]
     finished.clear()
     with pytest.raises(Boom, match="in second"):
-        cpus.in_parallel(first, lambda: second(Boom("in second")))
+        cpus.in_parallel(partial(task, "first"), partial(task, "second", Boom("in second")))
     assert finished == ["first"]
     assert len(thread_starts) == 3 and len(ran_on) == 6
+    assert all(len(set(ran_on[i : i + 2])) == 2 for i in (0, 2, 4))
     assert set(ran_on) <= {threading.current_thread(), *thread_starts}
     assert not any(helper.is_alive() for helper in thread_starts)
     assert threading.active_count() == threads
+
+
+def test_after_the_helper_raises_only_the_task_running_here_finishes(thread_starts, monkeypatch):
+    # Ten tasks.  The helper's first task raises while this thread's first
+    # task runs, and that task waits for the helper to end before it
+    # returns: it finishes, and neither thread claims any of the other 8.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    here, started, finished = threading.current_thread(), [], []
+    running_here = threading.Event()
+
+    def task(i):
+        started.append(i)
+        if threading.current_thread() is not here:
+            running_here.wait(timeout=30)
+            raise Boom("on the helper")
+        running_here.set()
+        thread_starts[0].join(timeout=30)
+        finished.append(i)
+
+    with pytest.raises(Boom, match="on the helper"):
+        cpus.in_parallel(*(partial(task, i) for i in range(10)))
+    assert sorted(started) == [0, 1] and len(finished) == 1
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert cpus.spare_cpu()
+
+
+def test_after_an_interrupt_here_only_the_helpers_running_task_finishes(
+    thread_starts, helper_joined, monkeypatch
+):
+    # Ten tasks.  A Ctrl-C lands in this thread's first task while the
+    # helper's first task runs, and that task returns only once in_parallel
+    # waits for the helper: it finishes, and neither thread claims any of
+    # the other 8.
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    here, started, finished = threading.current_thread(), [], []
+    running_on_helper = threading.Event()
+
+    def task(i):
+        started.append(i)
+        if threading.current_thread() is here:
+            running_on_helper.wait(timeout=30)
+            raise KeyboardInterrupt
+        running_on_helper.set()
+        helper_joined.wait(timeout=30)
+        finished.append(i)
+
+    with pytest.raises(KeyboardInterrupt):
+        cpus.in_parallel(*(partial(task, i) for i in range(10)))
+    assert sorted(started) == [0, 1] and len(finished) == 1
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert cpus.spare_cpu()
+
+
+def test_in_parallel_with_one_task_starts_no_thread(thread_starts, monkeypatch):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    assert cpus.in_parallel(threading.get_ident) == (threading.get_ident(),)
+    assert cpus.in_parallel() == ()
+    assert thread_starts == []
 
 
 def test_in_parallel_returns_each_result_in_its_tasks_slot(thread_starts, monkeypatch):
@@ -623,6 +677,8 @@ def test_maxpool_gradients_match_finite_differences():
 def test_maxpool_input_too_small():
     with pytest.raises(ShapeMismatch):
         MaxPool2D((2, 2)).forward(np.zeros((1, 1, 4, 2)))
+    with pytest.raises(ShapeMismatch, match=r"^maxpool expects \(N, H, W, C\), got \(4, 4, 2\)$"):
+        MaxPool2D((2, 2)).forward(np.zeros((4, 4, 2)))
 
 
 def test_maxpool_requires_stride_equal_kernel():
@@ -667,6 +723,11 @@ def test_dense_shape_mismatch():
 
 
 # --- Softmax ---
+
+def test_softmax_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match=r"^softmax expects \(N, K\), got \(2, 1, 2\)$"):
+        Softmax().forward(np.zeros((2, 1, 2)))
+
 
 def test_softmax_symmetric_logits():
     p = Softmax().forward(np.array([[0.0, 0.0]]))

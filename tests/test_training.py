@@ -1,8 +1,6 @@
-import itertools
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -490,17 +488,25 @@ class Boom(Exception):
     pass
 
 
-def test_a_failing_chunk_raises_only_once_the_other_worker_stopped(thread_starts, monkeypatch):
+def test_a_failing_chunk_raises_only_once_the_other_worker_stopped(
+    thread_starts, helper_joined, monkeypatch
+):
+    # Five chunks.  The chunk on this thread raises while the helper's first
+    # chunk runs, and that chunk returns only once in_parallel waits for the
+    # helper: it finishes, and no worker takes any of the other 3.
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     started = thread_starts
     model = build_reference_model(seed=4, dtype=np.float32)
     images = distinct_images(40, np.float32)
-    returned = []
+    here, returned = threading.current_thread(), []
+    running_on_helper = threading.Event()
 
     def slow_or_failing_forward(batch, train=False):
-        if batch.tobytes() == images[: training.EVAL_BATCH].tobytes():
-            raise Boom("the first chunk")
-        time.sleep(0.02)  # still running when the first chunk raises
+        if threading.current_thread() is here:
+            running_on_helper.wait(timeout=30)
+            raise Boom("a chunk on this thread")
+        running_on_helper.set()
+        helper_joined.wait(timeout=30)
         returned.append(batch)
         return np.zeros((len(batch), 2), np.float32)
 
@@ -508,8 +514,7 @@ def test_a_failing_chunk_raises_only_once_the_other_worker_stopped(thread_starts
     with pytest.raises(Boom):
         training._predict_distinct(model, images)
     assert len(started) == 1 and not started[0].is_alive()
-    # the worker that raised took no other chunk; the other took the rest
-    assert len(returned) == 40 // training.EVAL_BATCH - 1
+    assert len(returned) == 1
 
 
 class ChunkRecorder:
@@ -643,25 +648,31 @@ def test_cross_validate_trains_folds_on_one_helper_thread(small_corpus, thread_s
 
 
 def test_a_failing_fold_raises_only_once_the_other_worker_stopped(
-    small_corpus, thread_starts, monkeypatch
+    small_corpus, thread_starts, helper_joined, monkeypatch
 ):
+    # Three folds.  The fold on this thread diverges while the helper trains
+    # its first fold, which starts training only once in_parallel waits for
+    # the helper: that fold finishes, and no worker takes the third.
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     records = small_corpus[0]
-    calls, finished, train = itertools.count(), [], training.train
+    here, finished, train = threading.current_thread(), [], training.train
+    training_on_helper = threading.Event()
 
-    def diverging_first(*args):
-        if next(calls) == 0:
+    def diverging_here(*args):
+        if threading.current_thread() is here:
+            training_on_helper.wait(timeout=30)
             raise NonFiniteLoss("loss diverged to nan")
+        training_on_helper.set()
+        helper_joined.wait(timeout=30)
         result = train(*args)
         finished.append(threading.current_thread())
         return result
 
-    monkeypatch.setattr(training, "train", diverging_first)
+    monkeypatch.setattr(training, "train", diverging_here)
     with pytest.raises(NonFiniteLoss):
         cross_validate(records, TrainConfig(epochs=1, k=3, seed=11, vocab_size=16))
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-    # the worker whose fold raised took no other fold; the other took the rest
-    assert len(finished) == 2 and len(set(finished)) == 1
+    assert finished == [thread_starts[0]]
     assert cpus.spare_cpu()
 
 

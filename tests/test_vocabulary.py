@@ -118,12 +118,6 @@ def test_merge_matches_brute_force(bot_sets, ben_sets, n):
     assert len(vocab) == min(n, len(union))
 
 
-def test_vocabulary_index_is_inverse():
-    vocab = PermissionVocabulary(("x", "y", "z"))
-    assert [vocab.index[p] for p in vocab.permissions] == [0, 1, 2]
-    assert "y" in vocab and "w" not in vocab
-
-
 def test_save_load_round_trip(tmp_path):
     perms = tuple(f"perm.{i:02d}" for i in range(41))
     vocab = PermissionVocabulary(perms)
